@@ -187,6 +187,20 @@ def _resolve_manifest(manifest_arg: str | None, default_base: str) -> str | None
     return manifest_arg
 
 
+class _UsageError(Exception):
+    """A flag value the engine rejects; :func:`main` reports it like argparse."""
+
+
+def _engine_config(**fields):
+    """``EngineConfig`` from command-line values, rejected values as usage errors."""
+    from repro.core.engine import EngineConfig
+
+    try:
+        return EngineConfig(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _obs_setup(args: argparse.Namespace, manifest_out: str | None) -> None:
     """Switch on the observability pieces the flags ask for.
 
@@ -253,7 +267,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
     from repro.core import index_cache, kernels
-    from repro.core.engine import EngineConfig, NMEngine
+    from repro.core.engine import NMEngine
     from repro.core.parameters import suggest_parameters
     from repro.core.results_io import save_mining_result
     from repro.core.trajpattern import TrajPatternMiner
@@ -275,7 +289,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         gamma = args.gamma if args.gamma is not None else suggestion.gamma
     delta = args.delta if args.delta else cell
     grid = dataset.make_grid(cell)
-    engine_config = EngineConfig(
+    engine_config = _engine_config(
         delta=delta,
         min_prob=args.min_prob,
         jobs=args.jobs,
@@ -344,7 +358,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core import kernels
-    from repro.core.engine import EngineConfig
     from repro.core.results_io import load_mining_result
     from repro.core.streaming import StreamingNMEngine
     from repro.obs import manifest as obs_manifest
@@ -353,8 +366,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     manifest_out = _resolve_manifest(args.manifest_out, args.dataset)
     _obs_setup(args, manifest_out)
 
+    if args.chunk_size < 1:
+        raise _UsageError("chunk_size must be positive")
     result, grid = load_mining_result(args.patterns)
-    engine_config = EngineConfig(
+    engine_config = _engine_config(
         delta=args.delta,
         min_prob=args.min_prob,
         cache_dir=args.cache_dir,
@@ -1207,7 +1222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run a remote worker pool: open the local copy of a .tjc store "
             "and evaluate (store_hash, lo, hi) spans shipped by a "
-            "DistNMEngine coordinator over NDJSON/TCP"
+            "ParallelNMEngine coordinator over NDJSON/TCP"
         ),
     )
     worker.add_argument("store", help="path to this host's copy of the .tjc store")
@@ -1289,7 +1304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "additionally check the distributed path: a loopback worker "
-            "pool plus a local fork pool behind DistNMEngine, compared "
+            "pool plus a local fork pool behind one ParallelNMEngine, compared "
             "bit-for-bit against the same-width parallel engine"
         ),
     )
@@ -1341,7 +1356,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        from repro import obs
+
+        obs.shutdown()
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

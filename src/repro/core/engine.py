@@ -1267,7 +1267,7 @@ def build_engine(
     With ``jobs > 1`` the returned engine is a
     :class:`~repro.core.parallel.ParallelNMEngine` (same evaluation surface,
     sharded across worker processes); close it -- or use it as a context
-    manager -- to release the workers and shared-memory segments.
+    manager -- to release the workers and the spill file.
     """
     grid = dataset.make_grid(cell_size)
     config = EngineConfig(delta=delta if delta is not None else cell_size, **config_kwargs)

@@ -13,9 +13,12 @@ Numerical contract (what the compiled backends must reproduce):
 
 * Deviations are accumulated per ``(pattern, window)`` in gather order --
   pattern-major, then pattern offset ``j`` ascending, then index entries
-  in (cell, row) order.  ``np.argsort(kind="stable")`` + ``np.add.reduceat``
-  sum duplicates sequentially in exactly that order, so a compiled kernel
-  that accumulates in the same order is bit-identical, not merely close.
+  in (cell, row) order -- as one sequential sum ``((0 + d0) + d1) + d2``.
+  ``np.argsort(kind="stable")`` groups each window's terms in exactly that
+  order and :meth:`NumpyKernels.batch_devmax` adds them one position at a
+  time (not with ``np.add.reduceat``, whose pairwise inner loop computes
+  ``d0 + (d1 + d2)``), so a compiled kernel that accumulates in the same
+  order is bit-identical, not merely close.
 * Maxima (``np.maximum.reduceat``) are order-independent.
 * All kernel arithmetic runs in the backend dtype (float64 or float32);
   scalars are cast to the value dtype before entering the loops.
@@ -118,7 +121,13 @@ class NumpyKernels:
         order = np.argsort(key, kind="stable")
         key, dev = key[order], dev[order]
         window_starts = np.concatenate([[0], np.nonzero(np.diff(key))[0] + 1])
-        window_sums = np.add.reduceat(dev, window_starts)
+        # Sum each window sequentially, one position at a time: a window
+        # holds at most one term per pattern offset, so at most m steps.
+        window_sizes = np.diff(np.append(window_starts, len(key)))
+        window_sums = dev[window_starts]
+        for k in range(1, int(window_sizes.max())):
+            longer = np.nonzero(window_sizes > k)[0]
+            window_sums[longer] += dev[window_starts[longer] + k]
         u_key = key[window_starts]
         u_pat = u_key // n_windows
         u_traj = win_traj[u_key % n_windows]

@@ -1,4 +1,4 @@
-"""Multi-core sharded evaluation: parallel index build + frontier scoring.
+"""Sharded evaluation over trajectory spans: one coordinator, any pools.
 
 NM and match are *sums of per-trajectory terms* (Eq. 4 summed over the
 dataset): per trajectory a window maximum, then one dataset sum.  Any
@@ -10,58 +10,74 @@ module exploits it *concurrently*:
 
 * :func:`shard_dataset` splits the dataset into contiguous trajectory
   spans balanced by snapshot count;
-* each shard is owned by one long-lived worker process that builds (or
-  adopts) the shard's sparse index once and then serves candidate batches
-  over it -- the sharded index build runs in all workers concurrently,
-  which is where the multi-core construction speedup comes from;
+* each span is owned by one long-lived worker that builds (or adopts) the
+  span's sparse index once and then serves candidate batches over it --
+  the sharded index build runs in all workers concurrently, which is
+  where the multi-core construction speedup comes from;
 * :class:`ParallelNMEngine` exposes the familiar evaluation surface
   (``nm_batch``, ``match_batch``, the singular tables,
   ``extend_right_tables_many``, per-trajectory arrays, gap-pattern NM) by
-  broadcasting each request to all workers and reducing the replies in
-  the parent.  The miners and the wildcard DP run on it unchanged.
+  dispatching each request to every span and merging the replies in span
+  order.  The miners and the wildcard DP run on it unchanged.
 
-Shared memory
--------------
-Dense arrays never travel through pickles:
+Pools
+-----
+Spans are dealt round-robin over a list of pools:
 
-* the parent places the dataset's stacked means/sigmas in
-  ``multiprocessing.shared_memory`` segments; workers attach and slice
-  their trajectory span zero-copy;
-* a dataset backed by a ``.tjc`` columnar store (:mod:`repro.storage`)
-  skips ``/dev/shm`` entirely: workers receive ``(path, traj_lo,
-  traj_hi)`` file-range spans, memory-map the same file read-only and
-  share its page cache -- the parent never materialises the arrays at
-  all, which is what keeps a sharded mine's resident set independent of
-  dataset size;
-* on an index-cache hit the parent also shares the cached flat entry
-  arrays; each worker filters its row range out of the shared view and
-  skips the probability enumeration entirely;
-* after a cold build each worker exports its flat index through a
-  shared-memory segment it creates; the parent merges the shards into the
-  canonical full-dataset arrays and persists them through
-  :mod:`repro.core.index_cache` -- so serial and parallel runs share one
-  cache file, in either direction.
+* ``"local"`` -- :class:`LocalPool`, fork workers on this machine, one per
+  span;
+* ``"host:port"`` -- :class:`repro.dist.coordinator.RemotePool`, a ``repro
+  worker`` process reached over TCP.  It is imported only when such a
+  pool is named, so ``repro.core`` never imports ``repro.dist`` at module
+  import.
 
-Lifetime rules: every segment is unlinked by its creator, exactly once.
-The parent unlinks its segments in :meth:`ParallelNMEngine.close`
-(also wired to ``atexit`` and ``__exit__``); workers unlink their export
-segments after the parent confirms the merge.  Attaching never registers
-with the resource tracker on CPython >= 3.9, so no spurious cleanups or
-leak warnings occur.  After ``close()`` no ``/dev/shm`` segment with the
-``repro-shm-`` prefix survives -- the test suite asserts this.
+Data path
+---------
+Every worker opens a ``(path, traj_lo, traj_hi)`` span of a ``.tjc``
+columnar store (:mod:`repro.storage`) and memory-maps it read-only:
+dataset arrays never travel, and all local workers share one page cache.
+A store-backed dataset is used in place.  An in-memory dataset is first
+spilled to a temporary ``.tjc`` (named ``repro-spill-*`` in ``tempfile``'s
+default directory) with the writer's defaults -- float64 positions, no
+compression, so lossless -- and the store's ``content_hash`` equals
+:func:`repro.core.index_cache.dataset_fingerprint`, so index-cache keys
+are unchanged.  :meth:`ParallelNMEngine.close` removes the spill, also
+after a crash.  Remote pools open their own copy of the store, so they
+need a dataset that is already store-backed.
+
+Index cache
+-----------
+While every pool is local, ``config.cache_dir`` is served by the parent:
+on a hit it loads the cached flat arrays and hands each span its rows, so
+the workers skip the probability enumeration; after a cold build it
+collects every span's index arrays over the pipes and persists the merged
+full-dataset arrays -- byte-identical to what a serial engine would
+write, so serial and parallel runs share one cache file in either
+direction.  With a remote pool the cache is skipped.
+
+Failures
+--------
+A pool whose worker dies, whose connection drops or whose op overruns its
+deadline is retired: its spans re-open on the surviving pools and the op
+re-runs for just those spans.  Every merge is one flat fold over per-span
+results in global span order, so *which pool* computed a span cannot
+change a bit of the result.  When no pool survives, the engine closes
+itself and raises :class:`WorkerCrashError`.  A worker-reported error
+(the worker is alive, the op failed) raises ``RuntimeError`` and leaves
+the engine usable.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import secrets
+import os
+import tempfile
 import traceback
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, ExtensionTables, NMEngine
@@ -70,66 +86,53 @@ from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
 from repro.testkit import faults
 from repro.trajectory.dataset import TrajectoryDataset
-from repro.trajectory.trajectory import UncertainTrajectory
 
-#: Prefix of every shared-memory segment this module creates (the leak
-#: check in the tests globs ``/dev/shm`` for it).
-SHM_PREFIX = "repro-shm-"
+#: Name prefix of the temporary ``.tjc`` an in-memory dataset spills to
+#: (the leak checks in the tests glob ``tempfile.gettempdir()`` for it).
+SPILL_PREFIX = "repro-spill-"
+
+#: Default per-op deadline.  Generous -- an op covers a whole span batch
+#: -- but finite, so a hung pool becomes a failover instead of a hang.
+DEFAULT_OP_TIMEOUT_S = 300.0
+DEFAULT_CONNECT_TIMEOUT_S = 10.0
+
+Span = tuple[int, int]
 
 _log = logs.get_logger("parallel")
 
 
 class WorkerCrashError(RuntimeError):
-    """A shard worker died mid-conversation (crash, OOM-kill, SIGKILL).
+    """No pool is left to run a span: every pool crashed or timed out.
 
-    Raised instead of a bare ``EOFError``/``BrokenPipeError`` whenever the
-    pipe to a worker breaks.  By the time the caller sees it the engine has
-    torn itself down: remaining workers are stopped, every parent-owned
-    shared-memory segment is unlinked, and the engine is closed -- a dead
-    shard means every subsequent reduction would be silently wrong, so the
-    only safe state is "loudly unusable".
+    Raised instead of a bare ``EOFError``/``BrokenPipeError`` once the last
+    pool has failed.  By the time the caller sees it the engine has torn
+    itself down: remaining workers are stopped, the spill file is removed
+    and the engine is closed -- a span nobody can compute means every
+    subsequent reduction would be silently wrong, so the only safe state is
+    "loudly unusable".
     """
 
 
-# -- shared-memory plumbing -----------------------------------------------------
+class PoolFailure(Exception):
+    """Internal: one pool is dead (connection loss, crash, op timeout)."""
+
+    def __init__(self, pool, cause: str) -> None:
+        super().__init__(f"pool {pool.name!r} failed: {cause}")
+        self.pool = pool
+        self.cause = cause
 
 
-@dataclass(frozen=True)
-class ShmArraySpec:
-    """Address of one ndarray living in a shared-memory segment."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-def share_array(
-    array: np.ndarray, registry: list[shared_memory.SharedMemory]
-) -> ShmArraySpec:
-    """Copy ``array`` into a fresh shared-memory segment.
-
-    The segment object is appended to ``registry``; the registry owner is
-    responsible for ``close()`` + ``unlink()`` (creator-unlinks rule).
-    """
-    arr = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(
-        create=True,
-        size=max(arr.nbytes, 1),  # zero-byte segments are invalid
-        name=SHM_PREFIX + secrets.token_hex(8),
-    )
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    registry.append(shm)
-    return ShmArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
-
-
-def attach_array(
-    spec: ShmArraySpec,
-) -> tuple[np.ndarray, shared_memory.SharedMemory]:
-    """Zero-copy ndarray view over an existing segment (caller closes)."""
-    shm = shared_memory.SharedMemory(name=spec.name)
-    view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
-    return view, shm
+def parse_pool_spec(spec: str) -> tuple[str, tuple[str, int] | None]:
+    """Parse one pool spec: ``"local"`` or ``"host:port"``."""
+    if spec == "local":
+        return "local", None
+    host, sep, port = spec.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"pool spec {spec!r} must be 'local' or 'host:port'")
+    try:
+        return "remote", (host, int(port))
+    except ValueError as exc:
+        raise ValueError(f"pool spec {spec!r}: bad port") from exc
 
 
 # -- sharding ----------------------------------------------------------------------
@@ -201,9 +204,9 @@ def _skew(values: Sequence[float]) -> float:
 #
 # NM and match are sums of per-trajectory terms, so per-span results merge
 # by addition.  These module-level functions are the *only* merge
-# implementations: ParallelNMEngine (fork workers) and
-# repro.dist.DistNMEngine (remote pools) both call them, which is what
-# makes the distributed path bit-identical to the single-box parallel one.
+# implementations: ParallelNMEngine calls them for every pool kind and the
+# out-of-core StreamingNMEngine for its chunks, which is what makes a
+# remote pool bit-identical to a local one at the same span partition.
 #
 # Determinism contract: every function folds its inputs **in the order
 # given**, and callers pass per-span results in global span order
@@ -296,82 +299,27 @@ def merge_extension_tables(
 
 @dataclass(frozen=True)
 class _WorkerInit:
-    """Everything a shard worker needs to build its engine.
+    """Everything a span worker needs to build its engine.
 
-    The shard's data arrives one of two ways:
-
-    * **shm mode** -- ``means``/``sigmas`` address the parent's
-      shared-memory copies of the stacked dataset arrays (``store`` is
-      ``None``);
-    * **store mode** -- ``store`` is a ``(path, traj_lo, traj_hi)`` span
-      of a ``.tjc`` columnar store; the worker memory-maps the same file
-      read-only, so no dataset bytes are copied anywhere and the page
-      cache is shared across all workers.  ``means``/``sigmas`` are
-      ``None``.
+    ``store`` is a ``(path, traj_lo, traj_hi)`` span of a ``.tjc`` store;
+    the worker memory-maps the same file read-only, so no dataset bytes are
+    copied anywhere.  ``index`` holds the span's rows of a cache-loaded
+    index, re-based to the span (``None``: build the index).
     """
 
     grid: Grid
     config: EngineConfig
-    means: ShmArraySpec | None
-    sigmas: ShmArraySpec | None
-    lengths: tuple[int, ...]  # trajectory lengths of this shard, in order
-    row_lo: int  # global row range [row_lo, row_hi) of the shard
-    row_hi: int
-    index: tuple[ShmArraySpec, ShmArraySpec, ShmArraySpec] | None
-    store: tuple[str, int, int] | None = None  # (.tjc path, traj_lo, traj_hi)
+    store: tuple[str, int, int]
+    index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     shard: int = 0  # shard ordinal, stamped on worker spans/logs
     trace: tracing.SpanContext | None = None  # parent trace propagation
     metrics_enabled: bool = False  # mirror the parent registry's state
 
 
-def _shared_index_slice(init: _WorkerInit):
-    """This shard's rows of the parent's cache-loaded index, re-based to 0."""
-    if init.index is None:
-        return None
-    attachments = [attach_array(spec) for spec in init.index]
-    try:
-        cells, rows, vals = (view for view, _ in attachments)
-        keep = (rows >= init.row_lo) & (rows < init.row_hi)
-        return (
-            cells[keep].copy(),
-            rows[keep] - init.row_lo,
-            vals[keep].copy(),
-        )
-    finally:
-        for _, shm in attachments:
-            shm.close()
-
-
-def _worker_build_engine(init: _WorkerInit) -> NMEngine:
-    """Construct the shard dataset and engine from shared arrays or a store span."""
-    if init.store is not None:
-        from repro.storage import open_store  # deferred: storage is optional here
-
-        path, traj_lo, traj_hi = init.store
-        shard = open_store(path).span(traj_lo, traj_hi)
-        return NMEngine(shard, init.grid, init.config, prebuilt=_shared_index_slice(init))
-    means, means_shm = attach_array(init.means)
-    sigmas, sigmas_shm = attach_array(init.sigmas)
-    try:
-        trajectories = []
-        row = init.row_lo
-        for length in init.lengths:
-            trajectories.append(
-                UncertainTrajectory(means[row : row + length], sigmas[row : row + length])
-            )
-            row += length
-        shard = TrajectoryDataset(trajectories)
-        return NMEngine(
-            shard, init.grid, init.config, prebuilt=_shared_index_slice(init)
-        )
-    finally:
-        means_shm.close()
-        sigmas_shm.close()
-
-
 def _worker_main(conn, init: _WorkerInit) -> None:
-    """Shard worker loop: build once, then serve evaluation requests."""
+    """Span worker loop: build once, then serve evaluation requests."""
     from repro.core.wildcards import nm_gap_pattern  # deferred: avoids cycles
+    from repro.storage import open_store  # deferred: storage imports core
 
     # Fresh per-process observability: forget (never close -- the file
     # handle is shared under fork) any inherited tracer, trace into a
@@ -391,10 +339,15 @@ def _worker_main(conn, init: _WorkerInit) -> None:
     registry.reset()
     registry.enabled = init.metrics_enabled
 
-    exported: list[shared_memory.SharedMemory] = []
     try:
         faults.fire("parallel.worker.start", shard=init.shard)
-        engine = _worker_build_engine(init)
+        path, traj_lo, traj_hi = init.store
+        engine = NMEngine(
+            open_store(path).span(traj_lo, traj_hi),
+            init.grid,
+            init.config,
+            prebuilt=init.index,
+        )
         _log.debug(
             "shard worker ready",
             extra={
@@ -409,7 +362,7 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 {
                     "n_traj": len(engine.dataset),
                     "n_entries": engine.n_index_entries,
-                    "active_cells": np.asarray(engine.active_cells, dtype=np.int64),
+                    "active_cells": [int(c) for c in engine.active_cells],
                     "backend": engine.backend_name,
                 },
             )
@@ -456,17 +409,8 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 elif op == "best_window":
                     cells, local_index = payload
                     result = engine.best_window(TrajectoryPattern(cells), local_index)
-                elif op == "export_index":
-                    specs = tuple(
-                        share_array(a, exported) for a in engine.index_arrays()
-                    )
-                    result = specs
-                elif op == "release_index":
-                    for shm in exported:
-                        shm.close()
-                        shm.unlink()
-                    exported.clear()
-                    result = None
+                elif op == "index_arrays":
+                    result = engine.index_arrays()
                 elif op == "stats":
                     result = (engine.n_evaluations, engine.n_batches)
                 elif op == "obs_snapshot":
@@ -488,45 +432,183 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 try:
                     conn.send(("error", traceback.format_exc()))
                 except (OSError, ValueError):
-                    # Parent is gone: nothing to report to; the finally
-                    # below still releases any exported segments.
-                    break
+                    break  # parent is gone: nothing to report to
     finally:
-        # Runs on every exit path -- clean shutdown, broken pipe, crash in
-        # a result send -- so a worker never leaks an export segment it
-        # created.  FileNotFoundError (the parent reclaimed the segment by
-        # name first) is an OSError and ignored like any double-unlink.
-        for shm in exported:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:
-                pass
         try:
             conn.close()
         except OSError:
             pass
 
 
-# -- the parent-side engine ---------------------------------------------------------
+# -- pools ------------------------------------------------------------------------
+#
+# Every pool kind exposes the same small surface to the coordinator:
+# ``open(spans)`` builds engines for *absolute* store spans and returns
+# their metadata, ``dispatch`` sends one op covering a span subset without
+# waiting, ``collect`` gathers the per-span results, ``ping`` is the
+# heartbeat, ``drain_trace_records`` empties the pool's span buffers and
+# ``close`` releases everything.  Connection loss, worker death and
+# deadline overruns surface as PoolFailure -- the coordinator's cue to fail
+# over.  An explicit error *reply* raises RuntimeError instead: the pool is
+# alive and the request itself failed, so retrying elsewhere would just
+# fail identically.
+
+
+class LocalPool:
+    """Fork workers on this machine, one per assigned span.
+
+    ``make_init`` builds the :class:`_WorkerInit` of one span; the
+    coordinator supplies it so a span re-opened here after a failover gets
+    the same shard ordinal it had on its first pool.
+    """
+
+    kind = "local"
+
+    def __init__(
+        self,
+        name: str,
+        make_init: Callable[[Span], _WorkerInit],
+        *,
+        op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
+    ) -> None:
+        self.name = name
+        self.op_timeout_s = op_timeout_s
+        self.spans: list[Span] = []
+        self._make_init = make_init
+        # span -> (pipe, process, shard ordinal)
+        self._workers: dict[Span, tuple[Any, Any, int]] = {}
+        self._pending: list[Span] = []
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+
+    def open(self, spans: Sequence[Span]) -> list[dict]:
+        # Fork every worker before reading any handshake, so the span
+        # index builds run concurrently.
+        for span in spans:
+            init = self._make_init(span)
+            parent_conn, child_conn = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_worker_main, args=(child_conn, init), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            self._workers[span] = (parent_conn, proc, init.shard)
+        self.spans = sorted(self._workers)
+        self._pending = list(spans)
+        return [{"span": list(span), **meta} for span, meta in self.collect().items()]
+
+    def dispatch(self, op: str, payload, spans: Sequence[Span]) -> None:
+        self._pending = list(spans)
+        for span in self._pending:
+            try:
+                self._workers[span][0].send((op, payload))
+            except (OSError, ValueError) as exc:
+                raise self._died(span) from exc
+
+    def collect(self) -> dict[Span, Any]:
+        """Every pending span's reply, in dispatch order.
+
+        All replies are read before a reported error is raised, so no
+        stale reply is left in a pipe to be mistaken for the next op's.
+        """
+        pending, self._pending = self._pending, []
+        out: dict[Span, Any] = {}
+        errors: list[str] = []
+        for span in pending:
+            conn, _proc, shard = self._workers[span]
+            try:
+                if not conn.poll(self.op_timeout_s):
+                    raise PoolFailure(
+                        self,
+                        f"shard worker {shard} timed out after {self.op_timeout_s}s",
+                    )
+                status, payload = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise self._died(span) from exc
+            if status == "error":
+                errors.append(f"shard worker {shard} failed:\n{payload}")
+            else:
+                out[span] = payload
+        if errors:
+            raise RuntimeError(errors[0])
+        return out
+
+    def _died(self, span: Span) -> PoolFailure:
+        _conn, proc, shard = self._workers[span]
+        proc.join(timeout=5)
+        return PoolFailure(
+            self, f"shard worker {shard} died (exitcode {proc.exitcode})"
+        )
+
+    def ping(self) -> bool:
+        return all(proc.is_alive() for _conn, proc, _shard in self._workers.values())
+
+    def drain_trace_records(self) -> list:
+        # Best effort (it runs from close(), possibly with dead workers):
+        # spans from live workers still land.
+        records: list = []
+        for conn, _proc, _shard in self._workers.values():
+            try:
+                conn.send(("obs_drain", None))
+                if not conn.poll(5):
+                    continue
+                status, payload = conn.recv()
+            except (EOFError, OSError, ValueError):
+                continue
+            if status == "ok":
+                records.extend(payload)
+        return records
+
+    def close(self) -> None:
+        for conn, _proc, _shard in self._workers.values():
+            try:
+                conn.send(("close", None))
+            except (OSError, ValueError):
+                pass
+        for conn, proc, _shard in self._workers.values():
+            try:
+                conn.close()
+            except OSError:
+                pass
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=5)
+        self._workers.clear()
+        self.spans = []
+        self._pending = []
+
+
+# -- the coordinator ------------------------------------------------------------------
 
 
 class ParallelNMEngine:
-    """Sharded, multi-process NM/match evaluation with an NMEngine-like API.
+    """Sharded NM/match evaluation over pools, with an NMEngine-like API.
 
     Parameters
     ----------
     dataset, grid, config:
-        Exactly as for :class:`~repro.core.engine.NMEngine`.  ``config.jobs``
-        sets the worker count (capped at the trajectory count);
-        ``config.cache_dir`` enables the shared on-disk index cache.
+        Exactly as for :class:`~repro.core.engine.NMEngine`;
+        ``config.cache_dir`` enables the shared on-disk index cache (local
+        pools only).
     jobs:
-        Optional override of ``config.jobs``.
+        Number of trajectory spans (capped at the trajectory count);
+        defaults to ``max(config.jobs, len(pools))``.
+    pools:
+        Pool specs: ``"local"`` (fork workers on this machine) or
+        ``"host:port"`` (a ``repro worker`` process whose local store copy
+        hashes identically -- needs a store-backed dataset).  Spans are
+        assigned round-robin.
+    op_timeout_s, connect_timeout_s:
+        Per-op deadline of every pool, and the TCP connect/handshake
+        deadline of remote pools; a pool that overruns is failed over.
 
-    The instance owns worker processes and shared-memory segments; call
-    :meth:`close` (or use it as a context manager) to release them.  All
-    evaluation results equal the single-process engine to floating-point
-    accuracy -- the merge is an exact reduction over per-trajectory terms.
+    The instance owns worker processes, connections and (for an in-memory
+    dataset) a spill file; call :meth:`close` (or use it as a context
+    manager) to release them.  All evaluation results equal the
+    single-process engine to floating-point accuracy -- the merge is an
+    exact reduction over per-trajectory terms -- and are bit-identical for
+    every pool mix at the same ``jobs``.
     """
 
     def __init__(
@@ -535,24 +617,69 @@ class ParallelNMEngine:
         grid: Grid,
         config: EngineConfig,
         jobs: int | None = None,
+        pools: Sequence[str] = ("local",),
+        *,
+        op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
+        connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
     ) -> None:
+        self._closed = False
+        self.spill_path: str | None = None
+        self._pools: list = []
+        self._live: list = []
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
-        jobs = config.jobs if jobs is None else jobs
+        specs = [parse_pool_spec(spec) for spec in pools]
+        if not specs:
+            raise ValueError("at least one pool is required")
+        jobs = max(config.jobs, len(specs)) if jobs is None else jobs
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        store_ref = getattr(dataset, "store_ref", None)
+        if store_ref is None and any(kind == "remote" for kind, _ in specs):
+            raise ValueError(
+                "remote pools need a store-backed dataset: they open their "
+                "own copy of the store and are shipped (store_hash, lo, hi) "
+                "spans, never data -- convert with `repro convert` and "
+                "reopen via repro.storage"
+            )
         self.dataset = dataset
         self.grid = grid
         self.config = config
         self.shard_bounds = shard_dataset(dataset, jobs)
         self.n_shards = len(self.shard_bounds)
         self.index_cache_hit = False
-        self._own_shm: list[shared_memory.SharedMemory] = []
-        self._conns: list = []
-        self._workers: list = []
-        self._closed = False
+        self._trace_ctx = tracing.current_context()
+        self._metrics_enabled = metrics.get_registry().enabled
+        self._worker_config = replace(
+            config, jobs=1, cache_dir=None, trace_out=None, metrics_out=None
+        )
+        self._assignment: dict[Span, Any] = {}
+        self._span_meta: dict[Span, dict] = {}
+        self._prebuilt: dict[Span, tuple] = {}
         try:
-            self._start_workers()
+            if store_ref is None:
+                store_ref = (self._spill(), 0, len(dataset))
+            path, base_lo, _base_hi = store_ref
+            self._store_path = str(path)
+            # Spans live in *absolute* store coordinates; relative and
+            # absolute order coincide, so merge order is unaffected.
+            self._spans = [(base_lo + lo, base_lo + hi) for lo, hi in self.shard_bounds]
+            for i, (kind, address) in enumerate(specs):
+                if kind == "local":
+                    pool = LocalPool(
+                        f"local-{i}", self._worker_init, op_timeout_s=op_timeout_s
+                    )
+                else:
+                    from repro.dist.coordinator import RemotePool  # deferred: layering
+
+                    pool = RemotePool(
+                        f"remote-{i}",
+                        address,
+                        op_timeout_s=op_timeout_s,
+                        connect_timeout_s=connect_timeout_s,
+                    )
+                self._pools.append(pool)
+            self._start()
         except BaseException:
             self.close()
             raise
@@ -560,89 +687,91 @@ class ParallelNMEngine:
 
     # -- startup ---------------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+    def _spill(self) -> str:
+        """Write the in-memory dataset to a temporary ``.tjc``; return its path."""
+        from repro.storage import write_store  # deferred: storage imports core
 
-        lengths = self.dataset.lengths().tolist()
-        row_offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(int)
-        # Store-backed datasets skip /dev/shm entirely: workers receive a
-        # (path, lo, hi) span and mmap the same file read-only, so the
-        # parent never materialises the dataset arrays at all.
-        store_ref = getattr(self.dataset, "store_ref", None)
-        means_spec = sigmas_spec = None
-        if store_ref is None:
-            means_spec = share_array(self.dataset.all_means(), self._own_shm)
-            sigmas_spec = share_array(self.dataset.all_sigmas(), self._own_shm)
+        fd, path = tempfile.mkstemp(prefix=SPILL_PREFIX, suffix=".tjc")
+        os.close(fd)
+        self.spill_path = path
+        write_store(self.dataset, path, metadata={})
+        return path
 
-        cache_dir, key, index_specs = self.config.cache_dir, None, None
-        if cache_dir is not None:
+    def _worker_init(self, span: Span) -> _WorkerInit:
+        lo, hi = span
+        return _WorkerInit(
+            grid=self.grid,
+            config=self._worker_config,
+            store=(self._store_path, lo, hi),
+            # Cache-loaded rows serve the first open only; a span re-opened
+            # after a failover rebuilds the same index itself.
+            index=self._prebuilt.pop(span, None),
+            shard=self._spans.index(span),
+            trace=self._trace_ctx,
+            metrics_enabled=self._metrics_enabled,
+        )
+
+    def _row_offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.dataset.lengths())]).astype(np.int64)
+
+    def _start(self) -> None:
+        key = None
+        cache_dir = self.config.cache_dir
+        if cache_dir is not None and all(p.kind == "local" for p in self._pools):
             key = index_cache.cache_key(
                 self.dataset,
                 self.grid,
                 self.config,
                 kernel_tag=kernels.prob_kernel_tag(self.config),
             )
+            offsets = self._row_offsets()
             loaded = index_cache.load_index(
-                cache_dir,
-                key,
-                n_rows=int(row_offsets[-1]),
-                n_cells=self.grid.n_cells,
+                cache_dir, key, n_rows=int(offsets[-1]), n_cells=self.grid.n_cells
             )
             if loaded is not None:
                 self.index_cache_hit = True
-                index_specs = tuple(share_array(a, self._own_shm) for a in loaded)
+                cells, rows, vals = loaded
+                for span, (lo, hi) in zip(self._spans, self.shard_bounds):
+                    keep = (rows >= offsets[lo]) & (rows < offsets[hi])
+                    self._prebuilt[span] = (
+                        cells[keep], rows[keep] - offsets[lo], vals[keep]
+                    )
 
-        # Workers are plain single-process engines: no recursive pools, no
-        # per-shard cache files (the parent owns the canonical cache), and
-        # no file-writing observability of their own (spans buffer in the
-        # worker and drain through the pipe; see _worker_main).
-        worker_config = replace(
-            self.config, jobs=1, cache_dir=None, trace_out=None, metrics_out=None
-        )
-        self._trace_ctx = tracing.current_context()
-        metrics_enabled = metrics.get_registry().enabled
-        for shard, (lo, hi) in enumerate(self.shard_bounds):
-            store_span = None
-            if store_ref is not None:
-                path, base_lo, _base_hi = store_ref
-                store_span = (path, base_lo + lo, base_lo + hi)
-            init = _WorkerInit(
-                grid=self.grid,
-                config=worker_config,
-                means=means_spec,
-                sigmas=sigmas_spec,
-                lengths=tuple(lengths[lo:hi]),
-                row_lo=int(row_offsets[lo]),
-                row_hi=int(row_offsets[hi]),
-                index=index_specs,
-                store=store_span,
-                shard=shard,
-                trace=self._trace_ctx,
-                metrics_enabled=metrics_enabled,
-            )
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn, init), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._workers.append(proc)
+        self._live = list(self._pools)
+        remotes = [p for p in self._pools if p.kind == "remote"]
+        if remotes:
+            from repro.storage import open_store  # deferred: storage imports core
 
-        metas = [self._recv(i) for i in range(self.n_shards)]
-        self._shard_sizes = [meta["n_traj"] for meta in metas]
+            with open_store(self._store_path) as store:
+                store_hash = store.content_hash
+        for pool in remotes:
+            try:
+                pool.hello(
+                    store_hash=store_hash,
+                    grid=self.grid,
+                    config=self.config,
+                    kernel_tag=kernels.prob_kernel_tag(self.config),
+                    trace=self._trace_ctx,
+                    metrics_enabled=self._metrics_enabled,
+                )
+            except PoolFailure as exc:
+                self._fail_pool(pool, exc.cause)
+        for i, span in enumerate(self._spans):
+            self._assignment[span] = self._live[i % len(self._live)]
+        self._open(self._spans)
+
+        metas = [self._span_meta[span] for span in self._spans]
+        self._shard_sizes = [int(meta["n_traj"]) for meta in metas]
         self._shard_entries = [int(meta["n_entries"]) for meta in metas]
-        # Workers re-resolve the kernel backend in their own process (fork
-        # or spawn), so a "compiled"/"auto" config may land differently
-        # there than in the parent; report what the shards actually run.
+        # Workers re-resolve the kernel backend in their own process, so a
+        # "compiled"/"auto" config may land differently there than in the
+        # parent; report what the shards actually run.
         self._backend_name = str(metas[0].get("backend", "numpy"))
         self.n_index_entries = int(sum(self._shard_entries))
         cells: set[int] = set()
         for meta in metas:
             cells.update(int(c) for c in meta["active_cells"])
         self._active_cells = sorted(cells)
-
         self.shard_skew = _skew(self._shard_entries)
         metrics.gauge("parallel.shard_skew").set(self.shard_skew)
         metrics.counter("parallel.workers_started").inc(self.n_shards)
@@ -650,6 +779,7 @@ class ParallelNMEngine:
             "shard workers ready",
             extra={
                 "jobs": self.n_shards,
+                "pools": self.pool_names,
                 "shard_bounds": self.shard_bounds,
                 "shard_entries": self._shard_entries,
                 "shard_skew": self.shard_skew,
@@ -658,102 +788,128 @@ class ParallelNMEngine:
                 "dtype": self.config.dtype,
             },
         )
-
         if key is not None and not self.index_cache_hit:
-            self._persist_cold_index(cache_dir, key, row_offsets)
+            self._persist_cold_index(cache_dir, key)
 
-    def _persist_cold_index(self, cache_dir, key: str, row_offsets) -> None:
-        """Merge the freshly built shard indexes and write the shared cache.
+    def _persist_cold_index(self, cache_dir, key: str) -> None:
+        """Merge the freshly built span indexes and write the shared cache.
 
-        Shard arrays come back through worker-created shared memory (no
-        pickling); rows are shifted to global coordinates, concatenated and
+        Rows are shifted to dataset coordinates, concatenated and
         (cell, row)-sorted -- byte-identical to what a serial engine would
         persist, so either path can warm-start the other.
-
-        The export segments belong to the *workers* (creator-unlinks), so
-        a worker killed between exporting and releasing would orphan them.
-        Until the release round-trip confirms, the parent keeps the segment
-        names and reclaims any survivor by name on the way out -- a segment
-        already unlinked by its worker is simply skipped.
         """
-        specs_per_shard = self._broadcast(("export_index", None))
-        handoff = [spec.name for specs in specs_per_shard for spec in specs]
-        try:
-            faults.fire("parallel.parent.merge", key=key)
-            parts = []
-            for (lo, _hi), specs in zip(self.shard_bounds, specs_per_shard):
-                attachments = [attach_array(spec) for spec in specs]
-                cells, rows, vals = (view for view, _ in attachments)
-                parts.append((cells.copy(), rows + int(row_offsets[lo]), vals.copy()))
-                for _, shm in attachments:
-                    shm.close()
-            self._broadcast(("release_index", None))
-            handoff = []  # every worker confirmed its own unlink
-        finally:
-            for name in handoff:
-                try:
-                    orphan = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    continue
-                orphan.close()
-                orphan.unlink()
+        parts = self._merged("index_arrays")
+        faults.fire("parallel.parent.merge", key=key)
+        offsets = self._row_offsets()
         all_cells = np.concatenate([p[0] for p in parts])
-        all_rows = np.concatenate([p[1] for p in parts])
+        all_rows = np.concatenate(
+            [p[1] + offsets[lo] for (lo, _hi), p in zip(self.shard_bounds, parts)]
+        )
         all_vals = np.concatenate([p[2] for p in parts])
         order = np.lexsort((all_rows, all_cells))
         index_cache.save_index(
             cache_dir, key, all_cells[order], all_rows[order], all_vals[order]
         )
 
-    # -- messaging -------------------------------------------------------------
+    # -- dispatch with failover --------------------------------------------------
 
-    def _worker_crashed(self, i: int, cause: BaseException) -> WorkerCrashError:
-        """Tear the engine down after worker ``i``'s pipe broke.
+    def _by_pool(self, spans: Sequence[Span]) -> dict[Any, list[Span]]:
+        by_pool: dict[Any, list[Span]] = {}
+        for span in spans:
+            by_pool.setdefault(self._assignment[span], []).append(span)
+        return by_pool
 
-        A broken pipe means the worker is dead (crash, OOM-kill, SIGKILL):
-        no further reduction over the shards can be trusted, so the engine
-        closes itself -- stopping the surviving workers and unlinking every
-        parent-owned segment -- before surfacing a :class:`WorkerCrashError`.
+    def _fail_pool(self, pool, cause: str) -> None:
+        """Retire one dead pool and hand its spans to the survivors.
+
+        With no survivor the engine closes itself and raises
+        :class:`WorkerCrashError`.
         """
-        exitcode = None
-        if i < len(self._workers):
-            self._workers[i].join(timeout=5)
-            exitcode = self._workers[i].exitcode
+        if pool not in self._live:
+            return
+        self._live.remove(pool)
         metrics.counter("parallel.worker_crash").inc()
-        _log.error(
-            "shard worker died; closing engine",
-            extra={"shard": i, "exitcode": exitcode},
+        orphaned = [s for s in self._spans if self._assignment.get(s) is pool]
+        _log.warning(
+            "pool failed",
+            extra={
+                "pool": pool.name,
+                "cause": cause,
+                "orphaned_spans": orphaned,
+                "survivors": self.pool_names,
+            },
         )
-        self._abort()
-        return WorkerCrashError(
-            f"shard worker {i} died (exitcode {exitcode}); engine closed"
-        )
-
-    def _recv(self, i: int):
         try:
-            status, payload = self._conns[i].recv()
-        except (EOFError, OSError) as exc:
-            raise self._worker_crashed(i, exc) from exc
-        if status == "error":
-            raise RuntimeError(f"shard worker {i} failed:\n{payload}")
-        return payload
+            pool.close()
+        except Exception:  # noqa: BLE001 - teardown of a dead pool
+            pass
+        if not self._live:
+            self.close()
+            raise WorkerCrashError(
+                f"pool {pool.name!r} failed ({cause}) and no pool survives; "
+                "engine closed"
+            )
+        metrics.counter("parallel.spans_redispatched").inc(len(orphaned))
+        for i, span in enumerate(orphaned):
+            self._assignment[span] = self._live[i % len(self._live)]
 
-    def _broadcast(self, msg) -> list:
-        """Send one request to every worker, then gather all replies.
+    def _open(self, spans: Sequence[Span]) -> None:
+        """Open ``spans`` on their assigned pools, failing over dead ones."""
+        while True:
+            todo = [s for s in spans if s not in self._assignment[s].spans]
+            if not todo:
+                return
+            for pool, pool_spans in self._by_pool(todo).items():
+                try:
+                    metas = pool.open(pool_spans)
+                except PoolFailure as exc:
+                    self._fail_pool(pool, exc.cause)
+                    continue
+                for meta in metas:
+                    self._span_meta[tuple(meta["span"])] = meta
 
-        Requests are sent before any reply is read so the workers compute
-        concurrently.  A worker whose pipe breaks at either step raises
-        :class:`WorkerCrashError` after closing the engine (see
-        :meth:`_worker_crashed`).
+    def _dispatch(
+        self, op: str, payload=None, spans: Sequence[Span] | None = None
+    ) -> dict[Span, Any]:
+        """Run one op over ``spans`` (default: all), surviving pool deaths.
+
+        Requests go out to every pool before any reply is read, so the
+        pools compute concurrently.  Results come back keyed by span; the
+        caller merges them in global span order.
         """
         if self._closed:
             raise RuntimeError("ParallelNMEngine is closed")
-        for i, conn in enumerate(self._conns):
-            try:
-                conn.send(msg)
-            except (OSError, ValueError) as exc:
-                raise self._worker_crashed(i, exc) from exc
-        return [self._recv(i) for i in range(len(self._conns))]
+        todo = list(self._spans) if spans is None else list(spans)
+        results: dict[Span, Any] = {}
+        while todo:
+            dispatched = []
+            for pool, pool_spans in self._by_pool(todo).items():
+                try:
+                    pool.dispatch(op, payload, pool_spans)
+                    dispatched.append(pool)
+                except PoolFailure as exc:
+                    self._fail_pool(pool, exc.cause)
+            error: RuntimeError | None = None
+            for pool in dispatched:
+                # Collect from every pool even after a reported error, so
+                # no reply is left behind to desynchronise the next op.
+                try:
+                    results.update(pool.collect())
+                except PoolFailure as exc:
+                    self._fail_pool(pool, exc.cause)
+                except RuntimeError as exc:
+                    error = error or exc
+            if error is not None:
+                raise error
+            todo = [s for s in todo if s not in results]
+            if todo:
+                self._open(todo)
+        return results
+
+    def _merged(self, op: str, payload=None) -> list:
+        """Run ``op`` on every span; per-span results in global span order."""
+        results = self._dispatch(op, payload)
+        return [results[span] for span in self._spans]
 
     # -- metadata --------------------------------------------------------------
 
@@ -778,33 +934,47 @@ class ParallelNMEngine:
         return self.config.dtype
 
     @property
+    def pool_names(self) -> list[str]:
+        """Names of the pools still serving spans."""
+        return [p.name for p in self._live]
+
+    @property
     def n_evaluations(self) -> int:
         """Total pattern evaluations across all shard workers."""
-        return sum(n for n, _ in self._broadcast(("stats", None)))
+        return sum(n for n, _ in self._merged("stats"))
 
     @property
     def n_batches(self) -> int:
         """Total batched-evaluation rounds across all shard workers."""
-        return sum(b for _, b in self._broadcast(("stats", None)))
+        return sum(b for _, b in self._merged("stats"))
 
     # -- observability ------------------------------------------------------------
+
+    def heartbeat(self) -> dict[str, bool]:
+        """Ping every live pool; a dead pool fails over on the next op."""
+        return {pool.name: pool.ping() for pool in list(self._live)}
 
     def obs_snapshot(self) -> dict:
         """Per-shard counters plus imbalance gauges, in one round-trip.
 
         The aggregate ``n_evaluations`` / ``n_batches`` properties hide
         *where* the work happened; this snapshot keeps the per-shard
-        numbers (trajectory span, index entries, evaluations, batches and
-        each worker's metric snapshot) so shard imbalance is visible:
-        snapshot-balanced spans over skewed cell density give uneven
-        ``n_entries``, surfaced as the ``shard_skew`` gauge (max/mean of
-        per-shard index entries) and ``eval_skew`` (max/mean of per-shard
-        evaluation counts).
+        numbers (trajectory span, serving pool, index entries, evaluations,
+        batches and each worker's metric snapshot) so shard imbalance is
+        visible: snapshot-balanced spans over skewed cell density give
+        uneven ``n_entries``, surfaced as the ``shard_skew`` gauge (max/mean
+        of per-shard index entries) and ``eval_skew`` (max/mean of
+        per-shard evaluation counts).
         """
-        replies = self._broadcast(("obs_snapshot", None))
+        results = self._dispatch("obs_snapshot")
         shards = [
-            {**reply, "trajectories": list(self.shard_bounds[i])}
-            for i, reply in enumerate(replies)
+            {
+                **results[span],
+                "shard": i,
+                "trajectories": list(bounds),
+                "pool": self._assignment[span].name,
+            }
+            for i, (span, bounds) in enumerate(zip(self._spans, self.shard_bounds))
         ]
         entry_skew = _skew([s["n_entries"] for s in shards])
         eval_skew = _skew([s["n_evaluations"] for s in shards])
@@ -812,6 +982,7 @@ class ParallelNMEngine:
         metrics.gauge("parallel.eval_skew").set(eval_skew)
         return {
             "n_shards": self.n_shards,
+            "pools": self.pool_names,
             "backend": self._backend_name,
             "dtype": self.config.dtype,
             "n_index_entries": self.n_index_entries,
@@ -825,38 +996,23 @@ class ParallelNMEngine:
     def drain_trace(self) -> int:
         """Pull buffered worker span records into the parent's trace sink.
 
-        Workers trace into in-memory buffers (their file handles are the
-        parent's under fork); this drains every buffer over the pipe
-        protocol and writes the records verbatim, so shard-side
-        ``index.build`` / ``engine.nm_batch`` spans land in the parent's
-        JSONL file already parented to the span that was current when the
-        engine was constructed.  Returns the number of records written.
-        Called automatically by :meth:`close`.
+        Workers trace into in-memory buffers; this drains every live pool
+        and writes the records verbatim, so shard-side ``index.build`` /
+        ``engine.nm_batch`` spans land in the parent's JSONL file already
+        parented to the span that was current when the engine was
+        constructed.  Returns the number of records written.  Called
+        automatically by :meth:`close`.
         """
-        if getattr(self, "_trace_ctx", None) is None or tracing.get_tracer() is None:
+        if self._trace_ctx is None or tracing.get_tracer() is None:
             return 0
         if self._closed:
             return 0
-        # Per-connection, not _broadcast: draining is best-effort (it runs
-        # from close(), possibly with dead workers) and must never trigger
-        # the crash teardown itself.  Spans from live workers still land.
-        pending = []
-        for conn in self._conns:
-            try:
-                conn.send(("obs_drain", None))
-            except (OSError, ValueError):
-                continue
-            pending.append(conn)
         total = 0
-        for conn in pending:
-            try:
-                status, records = conn.recv()
-            except (EOFError, OSError):
-                continue
-            if status != "ok":
-                continue
-            tracing.emit_foreign(records)
-            total += len(records)
+        for pool in list(self._live):
+            records = pool.drain_trace_records()
+            if records:
+                tracing.emit_foreign(records)
+                total += len(records)
         return total
 
     # -- batched measures --------------------------------------------------------
@@ -867,7 +1023,7 @@ class ParallelNMEngine:
         if not patterns:
             return np.empty(0)
         cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._broadcast(("nm_batch", cells_list)))
+        return merge_batch_sums(self._merged("nm_batch", cells_list))
 
     def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
         """Dataset match of a whole candidate batch, in order."""
@@ -875,7 +1031,7 @@ class ParallelNMEngine:
         if not patterns:
             return np.empty(0)
         cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._broadcast(("match_batch", cells_list)))
+        return merge_batch_sums(self._merged("match_batch", cells_list))
 
     def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
         """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
@@ -891,13 +1047,11 @@ class ParallelNMEngine:
 
     def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
         """Eq. 4 per trajectory; shard arrays concatenate in dataset order."""
-        return merge_per_trajectory(self._broadcast(("nm_per_traj", pattern.cells)))
+        return merge_per_trajectory(self._merged("nm_per_traj", pattern.cells))
 
     def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
         """Un-normalised match per trajectory, in dataset order."""
-        return merge_per_trajectory(
-            self._broadcast(("match_per_traj", pattern.cells))
-        )
+        return merge_per_trajectory(self._merged("match_per_traj", pattern.cells))
 
     def best_window(
         self, pattern: TrajectoryPattern, traj_index: int
@@ -905,10 +1059,10 @@ class ParallelNMEngine:
         """Best (start, NM) window in one trajectory (routed to its shard)."""
         if not 0 <= traj_index < len(self.dataset):
             raise IndexError(f"trajectory index {traj_index} out of range")
-        for i, (lo, hi) in enumerate(self.shard_bounds):
+        for span, (lo, hi) in zip(self._spans, self.shard_bounds):
             if lo <= traj_index < hi:
-                self._conns[i].send(("best_window", (pattern.cells, traj_index - lo)))
-                return self._recv(i)
+                payload = (pattern.cells, traj_index - lo)
+                return self._dispatch("best_window", payload, [span])[span]
         raise AssertionError("unreachable: shard bounds cover the dataset")
 
     # -- singular tables -----------------------------------------------------------
@@ -919,17 +1073,21 @@ class ParallelNMEngine:
         A shard where a cell is inactive contributes the floor once per
         shard trajectory -- the same accounting the out-of-core engine uses.
         """
-        tables = self._broadcast(("singular_nm", None))
         return merge_singular_tables(
-            tables, self._shard_sizes, self.config.min_log_prob, len(self.dataset)
+            self._merged("singular_nm"),
+            self._shard_sizes,
+            self.config.min_log_prob,
+            len(self.dataset),
         )
 
     def singular_match_table(self) -> dict[int, float]:
         """Match of every active singular pattern (exact sharded reduction)."""
-        tables = self._broadcast(("singular_match", None))
         floor_p = float(np.exp(self.config.min_log_prob))
         return merge_singular_tables(
-            tables, self._shard_sizes, floor_p, len(self.dataset)
+            self._merged("singular_match"),
+            self._shard_sizes,
+            floor_p,
+            len(self.dataset),
         )
 
     # -- extension tables ----------------------------------------------------------
@@ -954,9 +1112,7 @@ class ParallelNMEngine:
         if not patterns:
             return []
         cells_list = [p.cells for p in patterns]
-        per_shard: list[list[ExtensionTables]] = self._broadcast(
-            ("ext_tables", cells_list)
-        )
+        per_shard: list[list[ExtensionTables]] = self._merged("ext_tables", cells_list)
         return [
             merge_extension_tables([tables[i] for tables in per_shard])
             for i in range(len(patterns))
@@ -971,15 +1127,15 @@ class ParallelNMEngine:
         bests sum exactly.  :func:`repro.core.wildcards.nm_gap_pattern`
         dispatches here automatically.
         """
-        return merge_scalar_sums(self._broadcast(("gap_nm", pattern)))
+        return merge_scalar_sums(self._merged("gap_nm", pattern))
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut workers down and unlink every owned shared-memory segment.
+        """Shut every pool down and remove the spill file.
 
         Idempotent; also registered with ``atexit`` and invoked by the
-        context-manager exit and the finaliser.
+        context-manager exit, the finaliser and the no-survivor teardown.
         """
         if self._closed:
             return
@@ -987,44 +1143,20 @@ class ParallelNMEngine:
             # Last chance to collect worker spans; tolerate dead workers
             # or an already-shut tracer (close may run from atexit).
             self.drain_trace()
-        except Exception:
+        except Exception:  # noqa: BLE001 - close must never raise
             pass
-        self._abort()
-
-    def _abort(self) -> None:
-        """Unconditional teardown: stop workers, unlink segments, mark closed.
-
-        The no-courtesies half of :meth:`close` -- no trace drain, nothing
-        that needs a live worker conversation -- so it is safe to call from
-        :meth:`_worker_crashed` while a pipe is broken.  Sets ``_closed``
-        *first*: any teardown step that indirectly re-enters messaging hits
-        the closed guard instead of recursing.
-        """
-        if self._closed:
-            return
         self._closed = True
-        _log.debug("closing shard workers", extra={"jobs": len(self._workers)})
-        for conn in self._conns:
+        for pool in self._pools:
             try:
-                conn.send(("close", None))
-            except (OSError, ValueError):
+                pool.close()
+            except Exception:  # noqa: BLE001
                 pass
-        for conn, proc in zip(self._conns, self._workers):
+        self._live = []
+        if self.spill_path is not None:
             try:
-                conn.close()
+                os.unlink(self.spill_path)
             except OSError:
                 pass
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5)
-        for shm in self._own_shm:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._own_shm.clear()
         try:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover

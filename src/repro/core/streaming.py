@@ -42,6 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.parallel import merge_batch_sums, merge_singular_tables
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
@@ -196,6 +197,13 @@ class StreamingNMEngine:
                     )
                 yield engine
 
+    def _per_chunk(self, fn) -> list:
+        """``fn(engine)`` for every chunk engine, in file order (one pass)."""
+        parts = [fn(engine) for engine in self._chunk_engines()]
+        if not parts:
+            raise ValueError(f"{self.path}: dataset contains no trajectories")
+        return parts
+
     def _chunk_engines(self) -> Iterator[NMEngine]:
         if self.store_backed:
             yield from self._store_chunk_engines()
@@ -240,27 +248,13 @@ class StreamingNMEngine:
         """
         if not patterns:
             return np.empty(0)
-        totals = np.zeros(len(patterns))
-        scanned = False
-        for engine in self._chunk_engines():
-            scanned = True
-            totals += engine.nm_batch(patterns)
-        if not scanned:
-            raise ValueError(f"{self.path}: dataset contains no trajectories")
-        return totals
+        return merge_batch_sums(self._per_chunk(lambda e: e.nm_batch(patterns)))
 
     def match_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
         """Dataset match of each pattern, one pass over the file."""
         if not patterns:
             return np.empty(0)
-        totals = np.zeros(len(patterns))
-        scanned = False
-        for engine in self._chunk_engines():
-            scanned = True
-            totals += engine.match_batch(patterns)
-        if not scanned:
-            raise ValueError(f"{self.path}: dataset contains no trajectories")
-        return totals
+        return merge_batch_sums(self._per_chunk(lambda e: e.match_batch(patterns)))
 
     def nm(self, pattern: TrajectoryPattern) -> float:
         """Dataset NM of one pattern (prefer :meth:`nm_many` for batches)."""
@@ -277,23 +271,11 @@ class StreamingNMEngine:
         accumulation accounts for them so the result matches the in-memory
         engine exactly.
         """
-        floor = self.config.min_log_prob
-        totals: dict[int, float] = {}
-        n_total = 0
-        per_cell_counted: dict[int, int] = {}
-        for engine in self._chunk_engines():
-            chunk_n = len(engine.dataset)
-            n_total += chunk_n
-            for cell, value in engine.singular_nm_table().items():
-                totals[cell] = totals.get(cell, 0.0) + value
-                per_cell_counted[cell] = per_cell_counted.get(cell, 0) + chunk_n
-        if n_total == 0:
-            raise ValueError(f"{self.path}: dataset contains no trajectories")
-        # Chunks where a cell was inactive contributed floor per trajectory.
-        return {
-            cell: total + floor * (n_total - per_cell_counted[cell])
-            for cell, total in totals.items()
-        }
+        parts = self._per_chunk(lambda e: (e.singular_nm_table(), len(e.dataset)))
+        tables, sizes = zip(*parts)
+        return merge_singular_tables(
+            tables, sizes, self.config.min_log_prob, sum(sizes)
+        )
 
     def verify_top_k(
         self, patterns: Sequence[TrajectoryPattern], k: int

@@ -1,8 +1,8 @@
 """Cross-machine mining and serving (``repro.dist``).
 
-The single-box scaling rungs stop at ``fork`` + ``/dev/shm``
-(:mod:`repro.core.parallel`) and one :class:`~repro.serve.server.PatternServer`
-replica.  This package promotes both boundaries onto sockets:
+Single-box sharded mining (:mod:`repro.core.parallel`) and one
+:class:`~repro.serve.server.PatternServer` replica promote onto sockets
+here:
 
 * :mod:`repro.dist.wire` -- the worker wire protocol: the NDJSON framing
   of :mod:`repro.serve.protocol` carrying the ``parallel`` worker op set,
@@ -13,11 +13,11 @@ replica.  This package promotes both boundaries onto sockets:
   process that opens its assigned ``.tjc`` spans *locally* (the
   coordinator ships ``(store_hash, lo, hi)`` + grid/config/kernel tag,
   never data) and answers pipelined ops;
-* :mod:`repro.dist.coordinator` -- :class:`DistNMEngine`: the
-  ``ParallelNMEngine`` surface over a mixed set of local-fork and remote
-  pools, reusing the exact-merge functions of :mod:`repro.core.parallel`
-  verbatim so all three miners run unchanged; a crashed or timed-out
-  pool's spans are re-dispatched to survivors with bit-identical results;
+* :mod:`repro.dist.coordinator` -- :class:`RemotePool`: the TCP pool kind
+  of :class:`~repro.core.parallel.ParallelNMEngine`, which deals spans over
+  any mix of local fork pools and remote pools, merges them with one set
+  of exact-merge functions and re-dispatches a crashed or timed-out pool's
+  spans to survivors with bit-identical results;
 * :mod:`repro.dist.router` -- ``repro router``: a serving tier that fans
   client requests across N ``PatternServer`` replicas by least queue
   depth, broadcasts ``swap`` so every replica serves the same snapshot
@@ -26,13 +26,8 @@ replica.  This package promotes both boundaries onto sockets:
 See ``docs/DISTRIBUTED.md`` for the op catalogue and failure model.
 """
 
-from repro.dist.coordinator import (
-    DistNMEngine,
-    DistPoolError,
-    LocalPool,
-    RemotePool,
-    parse_pool_spec,
-)
+from repro.core.parallel import LocalPool, parse_pool_spec
+from repro.dist.coordinator import RemotePool
 from repro.dist.router import RouterConfig, PatternRouter, publish_snapshot
 from repro.dist.wire import DIST_OPS, DIST_PROTOCOL_VERSION
 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
@@ -40,8 +35,6 @@ from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 __all__ = [
     "DIST_OPS",
     "DIST_PROTOCOL_VERSION",
-    "DistNMEngine",
-    "DistPoolError",
     "LocalPool",
     "PatternRouter",
     "RemotePool",

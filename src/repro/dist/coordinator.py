@@ -1,29 +1,14 @@
-"""The distributed mining coordinator: ``DistNMEngine`` over worker pools.
+"""The remote pool kind of :class:`~repro.core.parallel.ParallelNMEngine`.
 
-:class:`DistNMEngine` presents the exact engine surface of
-:class:`~repro.core.parallel.ParallelNMEngine` -- the miners and the
-wildcard DP run on it unchanged -- but dispatches trajectory spans across
-a mixed set of pools:
-
-* :class:`LocalPool` -- fork workers in this process's machine, reusing
-  ``repro.core.parallel``'s worker loop over ``(path, lo, hi)`` store
-  spans;
-* :class:`RemotePool` -- a ``repro worker --listen`` process reached over
-  TCP, speaking :mod:`repro.dist.wire`.
-
-Exactness and failover
-----------------------
-All reductions go through the module-level merge functions of
-:mod:`repro.core.parallel` (``merge_batch_sums`` and friends), fed
-per-span results in **global span order** -- one flat fold, never a merge
-of partial merges.  The reduction order is therefore a pure function of
-the span partition: *which pool* computed a span (or recomputed it after
-a failure) cannot change a single bit of the result.  That is the whole
-failover story: when a pool crashes or times out mid-op, its spans are
-re-opened on the survivors, the op is re-dispatched for just those spans,
-and the merged result is bit-identical to the run where nothing died.
-The differential oracle pins this at 0 ULP against the single-box
-parallel path (``repro selfcheck --dist``).
+:class:`RemotePool` is the coordinator-side handle of a ``repro worker
+--listen`` process (:mod:`repro.dist.worker`) reached over TCP, speaking
+:mod:`repro.dist.wire`.  It exposes the same ``open`` / ``dispatch`` /
+``collect`` / ``ping`` / ``close`` surface as the fork-worker
+:class:`~repro.core.parallel.LocalPool`, so one coordinator deals spans
+over any mix of the two and merges per-span results in global span order
+-- which pool computed a span (or recomputed it after a failover) cannot
+change a bit.  The engine imports this module only when a ``host:port``
+pool is named.
 
 Data never travels: the coordinator ships ``(store_hash, lo, hi)`` span
 coordinates plus grid/config/kernel tag; every pool opens its local copy
@@ -34,216 +19,18 @@ loud protocol errors instead.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing as mp
 import socket
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.core import kernels
-from repro.core.engine import EngineConfig, ExtensionTables
+from repro.core.engine import EngineConfig
 from repro.core.parallel import (
-    _WorkerInit,
-    _worker_main,
-    merge_batch_sums,
-    merge_extension_tables,
-    merge_per_trajectory,
-    merge_scalar_sums,
-    merge_singular_tables,
-    shard_dataset,
-    _skew,
+    DEFAULT_CONNECT_TIMEOUT_S,
+    DEFAULT_OP_TIMEOUT_S,
+    PoolFailure,
 )
-from repro.core.pattern import TrajectoryPattern
 from repro.dist import wire
 from repro.geometry.grid import Grid
-from repro.obs import logs, metrics, tracing
-from repro.storage import open_store
-from repro.testkit import faults
-from repro.trajectory.dataset import TrajectoryDataset
-
-_log = logs.get_logger("dist.coordinator")
-
-#: Default per-op deadline.  Generous -- an op covers a whole span batch
-#: -- but finite, so a hung pool becomes a failover instead of a hang.
-DEFAULT_OP_TIMEOUT_S = 300.0
-DEFAULT_CONNECT_TIMEOUT_S = 10.0
-
-
-class DistPoolError(RuntimeError):
-    """No pool can run a span: every candidate crashed or timed out."""
-
-
-class PoolFailure(Exception):
-    """Internal: one pool is dead (connection loss, crash, op timeout)."""
-
-    def __init__(self, pool: "LocalPool | RemotePool", cause: str) -> None:
-        super().__init__(f"pool {pool.name!r} failed: {cause}")
-        self.pool = pool
-        self.cause = cause
-
-
-def parse_pool_spec(spec: str) -> tuple[str, tuple[str, int] | None]:
-    """Parse one ``--pool`` value: ``"local"`` or ``"host:port"``."""
-    if spec == "local":
-        return "local", None
-    host, sep, port = spec.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"pool spec {spec!r} must be 'local' or 'host:port'"
-        )
-    try:
-        return "remote", (host, int(port))
-    except ValueError as exc:
-        raise ValueError(f"pool spec {spec!r}: bad port") from exc
-
-
-# -- pools ------------------------------------------------------------------------
-#
-# Both pool kinds expose the same small surface to the coordinator:
-# ``open(spans)`` builds engines for *absolute* store spans, ``dispatch``
-# sends one op covering a span subset without waiting, ``collect``
-# gathers the per-span results (python objects, matching the fork-worker
-# pipe protocol), ``ping`` is the heartbeat and ``close`` releases
-# everything.  Connection loss, worker death and deadline overruns all
-# surface as PoolFailure -- the coordinator's cue to fail over.  An
-# explicit error *response* (a protocol error) raises instead: the pool
-# is alive and the request itself is wrong, so retrying elsewhere would
-# just fail identically.
-
-
-class LocalPool:
-    """Fork workers on this machine, one per assigned span."""
-
-    kind = "local"
-
-    def __init__(
-        self,
-        name: str,
-        store_path: str,
-        worker_config: EngineConfig,
-        grid: Grid,
-        *,
-        trace: tracing.SpanContext | None = None,
-        metrics_enabled: bool = False,
-        op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
-    ) -> None:
-        self.name = name
-        self.store_path = store_path
-        self.worker_config = worker_config
-        self.grid = grid
-        self.trace = trace
-        self.metrics_enabled = metrics_enabled
-        self.op_timeout_s = op_timeout_s
-        self.spans: list[tuple[int, int]] = []
-        self._workers: dict[tuple[int, int], tuple[Any, Any]] = {}  # span -> (conn, proc)
-        self._pending: list[tuple[int, int]] = []
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-
-    def open(self, spans: Sequence[tuple[int, int]]) -> list[dict]:
-        metas = []
-        for span in spans:
-            lo, hi = span
-            if span not in self._workers:
-                init = _WorkerInit(
-                    grid=self.grid,
-                    config=self.worker_config,
-                    means=None,
-                    sigmas=None,
-                    lengths=(),
-                    row_lo=0,
-                    row_hi=0,
-                    index=None,
-                    store=(self.store_path, lo, hi),
-                    shard=lo,
-                    trace=self.trace,
-                    metrics_enabled=self.metrics_enabled,
-                )
-                parent_conn, child_conn = self._ctx.Pipe()
-                proc = self._ctx.Process(
-                    target=_worker_main, args=(child_conn, init), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-                self._workers[span] = (parent_conn, proc)
-                self.spans.append(span)
-                self.spans.sort()
-            meta = self._recv(span, timeout=self.op_timeout_s)
-            metas.append(
-                {
-                    "span": list(span),
-                    "n_traj": meta["n_traj"],
-                    "n_entries": int(meta["n_entries"]),
-                    "active_cells": [int(c) for c in meta["active_cells"]],
-                    "backend": meta["backend"],
-                }
-            )
-        return metas
-
-    def dispatch(self, op: str, payload, spans: Sequence[tuple[int, int]]) -> None:
-        self._pending = list(spans)
-        for span in self._pending:
-            conn, _proc = self._workers[span]
-            try:
-                conn.send((op, payload))
-            except (OSError, ValueError) as exc:
-                raise PoolFailure(self, f"pipe send failed: {exc}") from exc
-
-    def collect(self) -> dict[tuple[int, int], Any]:
-        out = {}
-        for span in self._pending:
-            out[span] = self._recv(span, timeout=self.op_timeout_s)
-        self._pending = []
-        return out
-
-    def _recv(self, span: tuple[int, int], timeout: float):
-        conn, _proc = self._workers[span]
-        try:
-            if not conn.poll(timeout):
-                raise PoolFailure(self, f"op timed out after {timeout}s")
-            status, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise PoolFailure(self, f"worker for span {span} died") from exc
-        if status == "error":
-            raise RuntimeError(f"pool {self.name!r} span {span} failed:\n{payload}")
-        return payload
-
-    def ping(self) -> bool:
-        return all(proc.is_alive() for _conn, proc in self._workers.values())
-
-    def drain_trace_records(self) -> list:
-        records: list = []
-        for conn, _proc in self._workers.values():
-            try:
-                conn.send(("obs_drain", None))
-                if not conn.poll(5):
-                    continue
-                status, payload = conn.recv()
-            except (EOFError, OSError, ValueError):
-                continue
-            if status == "ok":
-                records.extend(payload)
-        return records
-
-    def close(self) -> None:
-        for conn, _proc in self._workers.values():
-            try:
-                conn.send(("close", None))
-            except (OSError, ValueError):
-                pass
-        for conn, proc in self._workers.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5)
-        self._workers.clear()
-        self.spans = []
-        self._pending = []
+from repro.obs import tracing
 
 
 class RemotePool:
@@ -448,426 +235,3 @@ class RemotePool:
         self._reader = None
         self.spans = []
         self._pending = None
-
-
-# -- the coordinator ----------------------------------------------------------------
-
-
-class DistNMEngine:
-    """Distributed NM/match evaluation with the ``ParallelNMEngine`` API.
-
-    Parameters
-    ----------
-    dataset, grid, config:
-        As for :class:`~repro.core.engine.NMEngine`.  The dataset **must**
-        be backed by a ``.tjc`` store (:attr:`store_ref`): distribution
-        ships span coordinates, never data.
-    pools:
-        Pool specs: ``"local"`` (fork workers on this machine) or
-        ``"host:port"`` (a ``repro worker --listen`` process whose local
-        store copy hashes identically).  At least one required.
-    jobs:
-        Number of trajectory spans to shard into (defaults to
-        ``max(config.jobs, len(pools))``).  Spans are assigned round-robin
-        across pools.
-    """
-
-    def __init__(
-        self,
-        dataset: TrajectoryDataset,
-        grid: Grid,
-        config: EngineConfig,
-        pools: Sequence[str],
-        jobs: int | None = None,
-        *,
-        op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
-        connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
-    ) -> None:
-        if len(dataset) == 0:
-            raise ValueError("cannot build an engine over an empty dataset")
-        if not pools:
-            raise ValueError("at least one pool is required")
-        store_ref = getattr(dataset, "store_ref", None)
-        if store_ref is None:
-            raise ValueError(
-                "DistNMEngine needs a store-backed dataset: distribution "
-                "ships (store_hash, lo, hi) spans, never data -- convert "
-                "with `repro convert` and reopen via repro.storage"
-            )
-        self.dataset = dataset
-        self.grid = grid
-        self.config = config
-        path, base_lo, _base_hi = store_ref
-        self._store_path = str(path)
-        self._store_hash = open_store(self._store_path).content_hash
-        self._kernel_tag = kernels.prob_kernel_tag(config)
-        jobs = max(config.jobs, len(pools)) if jobs is None else jobs
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        rel_spans = shard_dataset(dataset, jobs)
-        # Everything below works in *absolute* store coordinates; relative
-        # and absolute span order coincide, so merge order is unaffected.
-        self.spans = [(base_lo + lo, base_lo + hi) for lo, hi in rel_spans]
-        self._base_lo = base_lo
-        self.n_spans = len(self.spans)
-        self._closed = False
-        self._trace_ctx = tracing.current_context()
-        self._metrics_enabled = metrics.get_registry().enabled
-        self._op_timeout_s = op_timeout_s
-        self._connect_timeout_s = connect_timeout_s
-
-        worker_config = wire.config_from_wire(wire.config_to_wire(config))
-        self._pools: list[LocalPool | RemotePool] = []
-        for i, spec in enumerate(pools):
-            kind, address = parse_pool_spec(spec)
-            name = f"{kind}-{i}"
-            if kind == "local":
-                self._pools.append(
-                    LocalPool(
-                        name,
-                        self._store_path,
-                        worker_config,
-                        grid,
-                        trace=self._trace_ctx,
-                        metrics_enabled=self._metrics_enabled,
-                        op_timeout_s=op_timeout_s,
-                    )
-                )
-            else:
-                self._pools.append(
-                    RemotePool(
-                        name,
-                        address,
-                        op_timeout_s=op_timeout_s,
-                        connect_timeout_s=connect_timeout_s,
-                    )
-                )
-        self._live: list[LocalPool | RemotePool] = []
-        self._assignment: dict[tuple[int, int], LocalPool | RemotePool] = {}
-        self._span_meta: dict[tuple[int, int], dict] = {}
-        try:
-            self._start_pools()
-        except BaseException:
-            self.close()
-            raise
-        atexit.register(self.close)
-
-    # -- startup -----------------------------------------------------------
-
-    def _start_pools(self) -> None:
-        for pool in self._pools:
-            if isinstance(pool, RemotePool):
-                pool.hello(
-                    store_hash=self._store_hash,
-                    grid=self.grid,
-                    config=self.config,
-                    kernel_tag=self._kernel_tag,
-                    trace=self._trace_ctx,
-                    metrics_enabled=self._metrics_enabled,
-                )
-            self._live.append(pool)
-        for i, span in enumerate(self.spans):
-            self._assignment[span] = self._live[i % len(self._live)]
-        for pool in self._live:
-            assigned = [s for s in self.spans if self._assignment[s] is pool]
-            if not assigned:
-                continue
-            for meta in pool.open(assigned):
-                self._span_meta[tuple(meta["span"])] = meta
-        entries = [self._span_meta[s]["n_entries"] for s in self.spans]
-        self.n_index_entries = int(sum(entries))
-        self.shard_skew = _skew(entries)
-        cells: set[int] = set()
-        for meta in self._span_meta.values():
-            cells.update(meta["active_cells"])
-        self._active_cells = sorted(cells)
-        self._backend_name = str(
-            self._span_meta[self.spans[0]].get("backend", "numpy")
-        )
-        metrics.counter("dist.pools_started").inc(len(self._live))
-        metrics.gauge("dist.pools_live").set(len(self._live))
-        _log.info(
-            "dist pools ready",
-            extra={
-                "pools": [p.name for p in self._live],
-                "spans": self.spans,
-                "store_hash": self._store_hash,
-                "backend": self._backend_name,
-            },
-        )
-
-    # -- dispatch with failover --------------------------------------------
-
-    def _fail_pool(self, pool, cause: str) -> None:
-        """Mark one pool dead and hand its spans to the survivors."""
-        if pool not in self._live:
-            return
-        self._live.remove(pool)
-        metrics.counter("dist.pool_failover").inc()
-        metrics.gauge("dist.pools_live").set(len(self._live))
-        orphaned = [s for s, p in self._assignment.items() if p is pool]
-        _log.warning(
-            "pool failed; re-dispatching spans",
-            extra={
-                "pool": pool.name,
-                "cause": cause,
-                "orphaned_spans": orphaned,
-                "survivors": [p.name for p in self._live],
-            },
-        )
-        try:
-            pool.close()
-        except Exception:  # noqa: BLE001 - teardown of a dead pool
-            pass
-        if not self._live:
-            raise DistPoolError(
-                f"pool {pool.name!r} failed ({cause}) and no pools survive"
-            )
-        metrics.counter("dist.spans_redispatched").inc(len(orphaned))
-        for i, span in enumerate(orphaned):
-            self._assignment[span] = self._live[i % len(self._live)]
-
-    def _reopen(self, spans: Sequence[tuple[int, int]]) -> None:
-        """Open re-assigned spans on their new pools (post-failover)."""
-        by_pool: dict[Any, list[tuple[int, int]]] = {}
-        for span in spans:
-            by_pool.setdefault(self._assignment[span], []).append(span)
-        for pool, pool_spans in list(by_pool.items()):
-            missing = [s for s in pool_spans if s not in pool.spans]
-            if not missing:
-                continue
-            try:
-                pool.open(missing)
-            except PoolFailure as exc:
-                self._fail_pool(pool, exc.cause)
-                self._reopen(pool_spans)
-
-    def _broadcast(self, op: str, payload, spans: Sequence[tuple[int, int]] | None = None):
-        """Run one op over ``spans`` (default: all), surviving pool deaths.
-
-        Results come back keyed by span; merge happens in the caller, in
-        global span order, via the shared merge functions.
-        """
-        if self._closed:
-            raise RuntimeError("DistNMEngine is closed")
-        todo = list(self.spans) if spans is None else list(spans)
-        results: dict[tuple[int, int], Any] = {}
-        while todo:
-            faults.fire("dist.coordinator.dispatch", op=op, n_spans=len(todo))
-            by_pool: dict[Any, list[tuple[int, int]]] = {}
-            for span in todo:
-                by_pool.setdefault(self._assignment[span], []).append(span)
-            dispatched: list[tuple[Any, list[tuple[int, int]]]] = []
-            for pool, pool_spans in by_pool.items():
-                try:
-                    pool.dispatch(op, payload, pool_spans)
-                    dispatched.append((pool, pool_spans))
-                except PoolFailure as exc:
-                    self._fail_pool(pool, exc.cause)
-            for pool, pool_spans in dispatched:
-                try:
-                    results.update(pool.collect())
-                except PoolFailure as exc:
-                    self._fail_pool(pool, exc.cause)
-            todo = [s for s in todo if s not in results]
-            if todo:
-                self._reopen(todo)
-        return results
-
-    def _merged(self, op: str, payload=None):
-        """Broadcast + per-span results in global span order."""
-        results = self._broadcast(op, payload)
-        return [results[span] for span in self.spans]
-
-    # -- metadata ----------------------------------------------------------
-
-    @property
-    def active_cells(self) -> list[int]:
-        return list(self._active_cells)
-
-    @property
-    def floor_log_prob(self) -> float:
-        return self.config.min_log_prob
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend_name
-
-    @property
-    def backend_dtype(self) -> str:
-        return self.config.dtype
-
-    @property
-    def pool_names(self) -> list[str]:
-        return [p.name for p in self._live]
-
-    @property
-    def n_evaluations(self) -> int:
-        return sum(n for n, _ in self._merged("stats"))
-
-    @property
-    def n_batches(self) -> int:
-        return sum(b for _, b in self._merged("stats"))
-
-    # -- batched measures --------------------------------------------------
-
-    def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        patterns = list(patterns)
-        if not patterns:
-            return np.empty(0)
-        cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._merged("nm_batch", cells_list))
-
-    def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        patterns = list(patterns)
-        if not patterns:
-            return np.empty(0)
-        cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._merged("match_batch", cells_list))
-
-    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        return self.nm_batch(patterns)
-
-    def nm(self, pattern: TrajectoryPattern) -> float:
-        return float(self.nm_batch([pattern])[0])
-
-    def match(self, pattern: TrajectoryPattern) -> float:
-        return float(self.match_batch([pattern])[0])
-
-    def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        return merge_per_trajectory(self._merged("nm_per_traj", pattern.cells))
-
-    def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        return merge_per_trajectory(self._merged("match_per_traj", pattern.cells))
-
-    def best_window(
-        self, pattern: TrajectoryPattern, traj_index: int
-    ) -> tuple[int, float] | None:
-        if not 0 <= traj_index < len(self.dataset):
-            raise IndexError(f"trajectory index {traj_index} out of range")
-        absolute = self._base_lo + traj_index
-        for span in self.spans:
-            lo, hi = span
-            if lo <= absolute < hi:
-                results = self._broadcast(
-                    "best_window", (pattern.cells, absolute - lo), spans=[span]
-                )
-                return results[span]
-        raise AssertionError("unreachable: spans cover the dataset")
-
-    # -- singular / extension tables ---------------------------------------
-
-    def singular_nm_table(self) -> dict[int, float]:
-        tables = self._merged("singular_nm")
-        sizes = [hi - lo for lo, hi in self.spans]
-        return merge_singular_tables(
-            tables, sizes, self.config.min_log_prob, len(self.dataset)
-        )
-
-    def singular_match_table(self) -> dict[int, float]:
-        tables = self._merged("singular_match")
-        sizes = [hi - lo for lo, hi in self.spans]
-        floor_p = float(np.exp(self.config.min_log_prob))
-        return merge_singular_tables(tables, sizes, floor_p, len(self.dataset))
-
-    def extend_right_tables(
-        self, pattern: TrajectoryPattern
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        return self.extend_right_tables_many([pattern])[0]
-
-    def extend_right_tables_many(
-        self, patterns: Sequence[TrajectoryPattern]
-    ) -> list[tuple[dict[int, float], dict[int, float]]]:
-        patterns = list(patterns)
-        if not patterns:
-            return []
-        cells_list = [p.cells for p in patterns]
-        per_span: list[list[ExtensionTables]] = self._merged(
-            "ext_tables", cells_list
-        )
-        return [
-            merge_extension_tables([tables[i] for tables in per_span])
-            for i in range(len(patterns))
-        ]
-
-    # -- gap patterns ------------------------------------------------------
-
-    def nm_gap_pattern_total(self, pattern) -> float:
-        return merge_scalar_sums(self._merged("gap_nm", pattern))
-
-    # -- observability -----------------------------------------------------
-
-    def heartbeat(self) -> dict[str, bool]:
-        """Ping every live pool; a dead pool fails over on the next op."""
-        return {pool.name: pool.ping() for pool in list(self._live)}
-
-    def obs_snapshot(self) -> dict:
-        results = self._broadcast("obs_snapshot", None)
-        spans = []
-        for span in self.spans:
-            entry = dict(results[span])
-            entry["span"] = list(span)
-            entry["pool"] = self._assignment[span].name
-            spans.append(entry)
-        entry_skew = _skew([s["n_entries"] for s in spans])
-        eval_skew = _skew([s["n_evaluations"] for s in spans])
-        return {
-            "n_spans": self.n_spans,
-            "pools": self.pool_names,
-            "backend": self._backend_name,
-            "dtype": self.config.dtype,
-            "n_index_entries": self.n_index_entries,
-            "n_evaluations": sum(s["n_evaluations"] for s in spans),
-            "n_batches": sum(s["n_batches"] for s in spans),
-            "shard_skew": entry_skew,
-            "eval_skew": eval_skew,
-            "spans": spans,
-        }
-
-    def drain_trace(self) -> int:
-        """Pull buffered pool span records into the parent's trace sink."""
-        if self._trace_ctx is None or tracing.get_tracer() is None:
-            return 0
-        if self._closed:
-            return 0
-        total = 0
-        for pool in list(self._live):
-            records = pool.drain_trace_records()
-            if records:
-                tracing.emit_foreign(records)
-                total += len(records)
-        return total
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            self.drain_trace()
-        except Exception:  # noqa: BLE001 - close must never raise
-            pass
-        self._closed = True
-        for pool in self._pools:
-            try:
-                pool.close()
-            except Exception:  # noqa: BLE001
-                pass
-        self._live = []
-        metrics.gauge("dist.pools_live").set(0)
-        try:
-            atexit.unregister(self.close)
-        except Exception:  # pragma: no cover
-            pass
-
-    def __enter__(self) -> "DistNMEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass

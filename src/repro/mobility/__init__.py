@@ -30,7 +30,7 @@ from repro.mobility.models import (
 )
 from repro.mobility.objects import GroundTruthPath
 from repro.mobility.reporting import ReportingConfig, TrackingLog, dead_reckon
-from repro.mobility.server import FleetTracker, TrackingServer, track_fleet
+from repro.mobility.server import FleetTracker, track_fleet
 
 __all__ = [
     "MotionModel",
@@ -43,6 +43,5 @@ __all__ = [
     "TrackingLog",
     "dead_reckon",
     "FleetTracker",
-    "TrackingServer",  # deprecated alias of FleetTracker
     "track_fleet",
 ]

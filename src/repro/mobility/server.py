@@ -8,10 +8,7 @@ accounting the Fig. 3 experiment needs.
 
 Naming note: this is the *paper's* "server" -- the simulated tracking
 party of the section 3.1 reporting scheme, a batch simulation component
-with no network surface.  It was historically exported as
-``TrackingServer``, which collides conceptually with the actual network
-service in :mod:`repro.serve`; ``FleetTracker`` is the primary name now
-and ``TrackingServer`` remains as a deprecated alias.
+with no network surface, not the network service in :mod:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -115,8 +112,3 @@ def track_fleet(
 ) -> FleetTrackingResult:
     """One-call convenience wrapper around :class:`FleetTracker`."""
     return FleetTracker(model_factory, config).track(paths, rng=rng)
-
-
-#: Deprecated alias -- the class predates the network serving layer
-#: (:mod:`repro.serve`); "server" now means that, not this simulator.
-TrackingServer = FleetTracker

@@ -19,10 +19,10 @@ Pieces (bottom-up):
 * :mod:`repro.serve.loadgen` -- the open/closed-loop load generator
   behind ``repro loadgen``.
 
-Naming note: :class:`repro.mobility.server.FleetTracker` (historically
-``TrackingServer``) is the *paper's* dead-reckoning location tracker --
-a simulation component, not a network service.  This package is the only
-thing in the repository that serves queries.
+Naming note: :class:`repro.mobility.server.FleetTracker` is the *paper's*
+dead-reckoning location tracker -- a simulation component, not a network
+service.  This package is the only thing in the repository that serves
+queries.
 """
 
 from repro.serve.batcher import BatchStats, MicroBatcher, OverloadedError

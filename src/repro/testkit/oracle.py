@@ -86,16 +86,17 @@ ULP_BUDGETS = {
     # store-backed dataset reads back the exact float64 arrays it was
     # written from, so the serial path is bit-identical to the baseline.
     "store": 0,
-    # Store-span parallel workers shard the same trajectory boundaries as
-    # the shm-backed engine and reduce in the same order, so each width is
-    # compared against *its own* in-RAM parallel run -- also bit-identical
-    # (the re-association budget already lives on the ``parallel`` paths).
+    # Parallel workers over the store's own spans shard the same trajectory
+    # boundaries as the in-RAM engine and reduce in the same order, so each
+    # width is compared against *its own* in-RAM parallel run -- also
+    # bit-identical (the re-association budget already lives on the
+    # ``parallel`` paths).
     "store-parallel": 0,
-    # The distributed coordinator partitions on the same boundaries and
-    # re-uses the parallel tier's merge functions in one flat fold over
-    # global span order; the NDJSON wire round-trips float64 exactly
-    # (shortest-repr).  Compared against the same-width parallel run:
-    # a socket hop must not move a bit, whichever pool computed a span.
+    # Mixed local + remote pools partition on the same boundaries and use
+    # the same merge functions in one flat fold over global span order;
+    # the NDJSON wire round-trips float64 exactly (shortest-repr).
+    # Compared against the same-width parallel run: a socket hop must not
+    # move a bit, whichever pool computed a span.
     "dist": 0,
     # Kernel-backend paths (``--backends all``).  ``kernel`` covers
     # float64 engines on alternative backends building their *own* index:
@@ -294,9 +295,9 @@ def run_oracle(
     ``include_serve=False`` skips the live-server round-trip (the one path
     needing an event loop), for callers already inside one.
 
-    ``include_dist=True`` adds the distributed coordinator paths
-    (``repro selfcheck --dist``): for each width in ``jobs_grid`` a
-    :class:`~repro.dist.coordinator.DistNMEngine` mixing one local fork
+    ``include_dist=True`` adds the distributed paths (``repro selfcheck
+    --dist``): for each width in ``jobs_grid`` a
+    :class:`~repro.core.parallel.ParallelNMEngine` mixing one local fork
     pool with one loopback socket worker pool scores the frontier,
     compared bit-for-bit against the same-width in-RAM parallel run.
 
@@ -481,9 +482,9 @@ def run_oracle(
 
         # Paths 6+7: the columnar store.  Writing the dataset to a ``.tjc``
         # file and evaluating over the store-backed (lazy, memory-mapped)
-        # dataset must not move a bit; store-*span* parallel workers (no
-        # /dev/shm copies) must agree bit-for-bit with the shm-backed
-        # parallel engine of the same width.
+        # dataset must not move a bit; parallel workers over the store's
+        # own spans must agree bit-for-bit with the in-RAM parallel engine
+        # (which spills to a temporary store) of the same width.
         store_file = work / "oracle-dataset.tjc"
         write_store(setup.dataset, store_file)
         with open_store(store_file) as store:
@@ -514,14 +515,13 @@ def run_oracle(
                         )
                     )
 
-            # Path 8 (``--dist``): the distributed coordinator over mixed
-            # pools -- one local fork pool plus one socket worker pool on
-            # loopback -- at every width, against the same-width in-RAM
-            # parallel run.  The coordinator shards on the same trajectory
-            # boundaries and folds per-span results in the same global
-            # order, so a socket in the middle must not move a bit.
+            # Path 8 (``--dist``): the coordinator over mixed pools -- one
+            # local fork pool plus one socket worker pool on loopback -- at
+            # every width, against the same-width in-RAM parallel run.  It
+            # shards on the same trajectory boundaries and folds per-span
+            # results in the same global order, so a socket in the middle
+            # must not move a bit.
             if include_dist:
-                from repro.dist.coordinator import DistNMEngine
                 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 
                 with WorkerPoolServer(
@@ -529,12 +529,12 @@ def run_oracle(
                 ) as pool_server:
                     pool = f"{pool_server.config.host}:{pool_server.port}"
                     for jobs in jobs_grid:
-                        with DistNMEngine(
+                        with ParallelNMEngine(
                             store_dataset,
                             setup.grid,
                             cfg,
-                            pools=["local", pool],
                             jobs=jobs,
+                            pools=["local", pool],
                         ) as dist_engine:
                             nm_ram, match_ram = par_results[jobs]
                             checks.append(

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import glob
 import itertools
+import multiprocessing as mp
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.parallel import SPILL_PREFIX
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+
+
+def assert_no_engine_leftovers() -> None:
+    """No spill file and no worker process outlives a closed ParallelNMEngine."""
+    assert glob.glob(os.path.join(tempfile.gettempdir(), SPILL_PREFIX + "*")) == []
+    assert mp.active_children() == []
 
 
 @pytest.fixture

@@ -39,3 +39,50 @@ class TestDispatch:
         out = capsys.readouterr().out
         for name in cli._EXPERIMENTS:
             assert f"{name}@small" in out
+
+
+class TestConfigErrors:
+    """Values the engine rejects fail like argparse errors: message, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from repro.testkit.datasets import seeded_dataset
+        from repro.trajectory.io import save_dataset_jsonl
+
+        tmp = tmp_path_factory.mktemp("cli-config")
+        dataset = tmp / "data.jsonl"
+        save_dataset_jsonl(seeded_dataset(3, n_trajectories=6, n_ticks=12), dataset)
+        patterns = tmp / "patterns.json"
+        argv = ["mine", str(dataset), "-k", "2", "--cell-size", "0.1"]
+        assert cli.main(argv + ["--output", str(patterns)]) == 0
+        return str(dataset), str(patterns)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--min-prob", "2"], "min_prob must be in (0, 1)"),
+            (["--jobs", "0"], "jobs must be at least 1"),
+        ],
+    )
+    def test_mine_rejects_bad_config(self, files, capsys, flags, message):
+        dataset, _ = files
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mine", dataset, "--cell-size", "0.1", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"mine: error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--min-prob", "2"], "min_prob must be in (0, 1)"),
+            (["--chunk-size", "0"], "chunk_size must be positive"),
+        ],
+    )
+    def test_score_rejects_bad_config(self, files, capsys, flags, message):
+        dataset, patterns = files
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["score", patterns, dataset, "--delta", "0.1", *flags])
+        assert excinfo.value.code == 2
+        assert f"score: error: {message}" in capsys.readouterr().err

@@ -1,10 +1,11 @@
-"""DistNMEngine vs ParallelNMEngine: bit-identical across a real socket.
+"""Mixed local + remote pools vs local-only pools: bit-identical across a socket.
 
 One worker pool runs in-process (threads + loopback TCP), one pool is
 the local fork kind, so every test exercises the mixed-pool dispatch
-path.  All comparisons are exact (``==`` / ``array_equal``): the dist
-tier re-uses the parallel tier's merge functions over the same span
-partition, so there is no tolerance to hide behind.
+path of :class:`ParallelNMEngine`.  All comparisons are exact (``==`` /
+``array_equal``): both engines merge per-span results with the same
+functions over the same span partition, so there is no tolerance to hide
+behind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.core.wildcards import Gap, GapPattern
-from repro.dist import DistNMEngine, DistPoolError, parse_pool_spec
+from repro.dist import parse_pool_spec
 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 from repro.storage import open_store, write_store
 from repro.testkit.datasets import oracle_setup
@@ -44,8 +45,8 @@ def pool_server(setup):
 def engines(setup, pool_server):
     s, _, store_dataset = setup
     par = ParallelNMEngine(store_dataset, s.grid, s.config, jobs=4)
-    dist = DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=4
+    dist = ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=4, pools=["local", pool_server]
     )
     yield par, dist
     dist.close()
@@ -122,15 +123,15 @@ def test_best_window_routed_to_owning_span(engines, setup):
 
 
 def test_miner_top_k_identical_to_parallel(setup, pool_server):
-    """Full mining runs on the dist engine reproduce the parallel engine
+    """Full mining runs over mixed pools reproduce local-only pools
     bit-for-bit (same span partition, same flat merge), and agree with a
     serial mine on which patterns win."""
     s, _, store_dataset = setup
     serial = TrajPatternMiner(NMEngine(s.dataset, s.grid, s.config), k=5).mine()
     with ParallelNMEngine(store_dataset, s.grid, s.config, jobs=3) as par:
         parallel = TrajPatternMiner(par, k=5).mine()
-    with DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=3
+    with ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=3, pools=["local", pool_server]
     ) as dist:
         mined = TrajPatternMiner(dist, k=5).mine()
     assert [p.cells for p, _ in mined.as_pairs()] == [
@@ -146,15 +147,16 @@ def test_miner_top_k_identical_to_parallel(setup, pool_server):
 def test_obs_snapshot_attributes_spans_to_pools(engines):
     _, dist = engines
     snap = dist.obs_snapshot()
-    assert snap["n_spans"] == 4
-    pools = {entry["pool"] for entry in snap["spans"]}
-    assert pools == {"local-0", "remote-1"}
+    assert snap["n_shards"] == 4
+    assert [entry["shard"] for entry in snap["shards"]] == [0, 1, 2, 3]
+    pools = [entry["pool"] for entry in snap["shards"]]
+    assert pools == ["local-0", "remote-1", "local-0", "remote-1"]
 
 
 def test_requires_store_backed_dataset(setup):
     s, _, _ = setup
     with pytest.raises(ValueError, match="store"):
-        DistNMEngine(s.dataset, s.grid, s.config, pools=["local"], jobs=2)
+        ParallelNMEngine(s.dataset, s.grid, s.config, jobs=2, pools=["127.0.0.1:1"])
 
 
 def test_remote_pool_rejects_mismatched_store(setup, tmp_path):
@@ -166,9 +168,9 @@ def test_remote_pool_rejects_mismatched_store(setup, tmp_path):
     server = WorkerPoolServer(WorkerPoolConfig(store_path=other_path, name="wx"))
     host, port = server.start()
     try:
-        with pytest.raises((DistPoolError, RuntimeError), match="store"):
-            DistNMEngine(
-                store_dataset, s.grid, s.config, pools=[f"{host}:{port}"], jobs=2
+        with pytest.raises(RuntimeError, match="store"):
+            ParallelNMEngine(
+                store_dataset, s.grid, s.config, jobs=2, pools=[f"{host}:{port}"]
             )
     finally:
         server.stop()
@@ -179,8 +181,8 @@ def test_no_processes_leak(setup, pool_server):
 
     s, _, store_dataset = setup
     before = set(mp.active_children())
-    dist = DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=4
+    dist = ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=4, pools=["local", pool_server]
     )
     dist.nm_batch([TrajectoryPattern((dist.active_cells[0],))])
     assert set(mp.active_children()) > before  # local pool forked workers

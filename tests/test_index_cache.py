@@ -9,7 +9,6 @@ one cache file in both directions.
 
 from __future__ import annotations
 
-import glob
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.core.engine import EngineConfig, NMEngine
 from repro.core.parallel import ParallelNMEngine
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import assert_no_engine_leftovers
 
 
 @pytest.fixture
@@ -205,7 +205,7 @@ class TestSerialParallelSharing:
         assert warm.index_cache_hit
         for a, b in zip(warm.index_arrays(), reference.index_arrays()):
             np.testing.assert_array_equal(a, b)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
 
     def test_serial_cold_write_parallel_warm_read(self, dataset, grid, config):
         reference = NMEngine(dataset, grid, config)
@@ -219,4 +219,4 @@ class TestSerialParallelSharing:
             np.testing.assert_allclose(
                 par.nm_batch(patterns), reference.nm_batch(patterns), rtol=1e-12
             )
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()

@@ -133,10 +133,26 @@ def test_cache_key_kernel_tag(small_dataset, unit_grid):
 # -- backend equivalence ------------------------------------------------------
 
 
+def _repeated_cell_patterns(engine) -> list[TrajectoryPattern]:
+    """Patterns of length 3-5 that touch one window at 3+ offsets.
+
+    A cell repeated ``m`` times matches every run of ``m`` snapshots near
+    it, so each window sums up to ``m`` deviations -- the case where the
+    summation order inside a window decides the last bit.
+    """
+    cells = engine.index_arrays()[0]
+    busiest = np.unique(cells, return_counts=True)
+    top = busiest[0][np.argsort(-busiest[1], kind="stable")[:6]]
+    out = [TrajectoryPattern((int(c),) * m) for c in top for m in (3, 4, 5)]
+    a, b = int(top[0]), int(top[1])
+    out += [TrajectoryPattern((a, a, b)), TrajectoryPattern((b, a, a, a))]
+    return out
+
+
 def test_shared_index_bit_exact(small_dataset):
     """On one shared index every backend x dtype reduction is bit-identical."""
     ref = _engine(small_dataset)
-    patterns = _candidates(ref)
+    patterns = _candidates(ref) + _repeated_cell_patterns(ref)
     gaps = _gap_patterns(ref)
     nm_ref = ref.nm_batch(patterns)
     match_ref = ref.match_batch(patterns)

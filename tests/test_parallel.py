@@ -1,4 +1,4 @@
-"""Sharded parallel engine == serial engine, and shared-memory hygiene.
+"""Sharded parallel engine == serial engine, and spill/worker hygiene.
 
 The merge in :class:`~repro.core.parallel.ParallelNMEngine` is an exact
 reduction over per-trajectory terms, so every evaluation surface must
@@ -9,7 +9,8 @@ per worker, more workers than trajectories) and wildcard patterns.
 
 from __future__ import annotations
 
-import glob
+import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -23,15 +24,16 @@ from repro.core.trajpattern import TrajPatternMiner
 from repro.core.wildcards import GapPattern, nm_gap_pattern
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import assert_no_engine_leftovers
 
 JOB_COUNTS = (1, 2, 3, 5, 12, 30)  # 12 = one trajectory per shard, 30 > |D|
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave /dev/shm free of our segments."""
+def no_leftovers():
+    """Every test must leave no spill file and no worker process behind."""
     yield
-    assert glob.glob("/dev/shm/repro-shm-*") == []
+    assert_no_engine_leftovers()
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +214,12 @@ class TestLifecycle:
 
     def test_workers_die_with_close(self, serial):
         par = _parallel(serial, 3)
-        workers = list(par._workers)
+        workers = mp.active_children()
+        assert len(workers) == 3
+        assert os.path.exists(par.spill_path)
         par.close()
         assert all(not proc.is_alive() for proc in workers)
+        assert not os.path.exists(par.spill_path)
 
     def test_invalid_jobs_rejected(self, serial):
         with pytest.raises(ValueError, match="jobs"):
@@ -256,4 +261,4 @@ class TestPropertyEquivalence:
             np.testing.assert_allclose(
                 par.match_batch(patterns), serial.match_batch(patterns), rtol=1e-12
             )
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()

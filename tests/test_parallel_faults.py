@@ -1,14 +1,14 @@
 """Fault-injected worker crashes: the engine must fail loudly and leak nothing.
 
 Every scenario kills (or errors) a shard worker at a specific point --
-startup, mid-batch, during the export/release shm handoff -- and asserts
-the two invariants the fixes guarantee:
+startup, mid-batch, while the parent collects the span indexes for the
+cache -- and asserts the two invariants the fixes guarantee:
 
 * the failure surfaces as :class:`WorkerCrashError` (pipe death) or a
   ``RuntimeError`` carrying the worker traceback (reported error), never a
   bare ``EOFError``/``BrokenPipeError``;
-* ``/dev/shm`` holds no ``repro-shm-*`` segment afterwards, whichever side
-  created it (the autouse fixture enforces this for every test).
+* no spill file and no worker process survives afterwards (the autouse
+  fixture enforces this for every test).
 
 Faults armed in the parent are inherited by forked workers, which is how a
 test reaches code running inside a worker process.
@@ -16,7 +16,7 @@ test reaches code running inside a worker process.
 
 from __future__ import annotations
 
-import glob
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from repro.core.pattern import TrajectoryPattern
 from repro.testkit import faults
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import assert_no_engine_leftovers
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +35,7 @@ def clean_state():
     faults.disarm()
     yield
     faults.disarm()
-    assert glob.glob("/dev/shm/repro-shm-*") == []
+    assert_no_engine_leftovers()
 
 
 def _dataset(n=8, length=10, seed=42) -> TrajectoryDataset:
@@ -76,9 +77,24 @@ class TestCrashMidBatch:
             # The crash closed the engine: no half-dead evaluations later.
             with pytest.raises(RuntimeError, match="closed"):
                 engine.nm_batch(patterns)
-            assert glob.glob("/dev/shm/repro-shm-*") == []
+            assert not os.path.exists(engine.spill_path)
+            assert_no_engine_leftovers()
         finally:
             engine.close()  # idempotent no-op after the auto-close
+
+    def test_sigkill_mid_batch_leaves_nothing_behind(self, scenario):
+        dataset, grid, config = scenario
+        patterns = _patterns(dataset, grid, config)
+        faults.arm(
+            "parallel.worker.op", "sigkill", match={"shard": 1, "op": "nm_batch"}
+        )
+        engine = ParallelNMEngine(dataset, grid, config, jobs=2)
+        spill = engine.spill_path
+        assert os.path.exists(spill)
+        with pytest.raises(WorkerCrashError, match="shard worker 1 died"):
+            engine.nm_batch(patterns)
+        assert not os.path.exists(spill)
+        assert_no_engine_leftovers()
 
     def test_worker_op_error_keeps_engine_usable(self, scenario):
         # A *reported* error (worker alive, op failed) must not tear the
@@ -117,61 +133,43 @@ class TestCrashDuringStartup:
         faults.arm("parallel.worker.start", "exit", match={"shard": 1})
         with pytest.raises(WorkerCrashError):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
 
     def test_reported_startup_failure_carries_traceback(self, scenario):
         dataset, grid, config = scenario
         faults.arm("parallel.worker.start", "raise", match={"shard": 0})
         with pytest.raises(RuntimeError, match="FaultInjected"):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
 
     def test_sigkill_during_startup_cleans_shm(self, scenario):
         dataset, grid, config = scenario
         faults.arm("parallel.worker.start", "sigkill", match={"shard": 0})
         with pytest.raises(WorkerCrashError):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
 
 
 class TestCrashDuringHandoff:
-    """The export/release window: worker-created segments are in flight."""
+    """A cold cache build: the parent collects every span's index arrays."""
 
-    def test_sigkill_between_export_and_release(self, scenario, tmp_path):
-        # The worker exports its index through segments *it* created, then
-        # dies before the release round-trip -- the parent must reclaim
-        # the orphaned segments by name.
+    @pytest.mark.parametrize("action", ["exit", "sigkill"])
+    def test_crash_during_index_collect(self, scenario, tmp_path, action):
         dataset, grid, config = scenario
         config = EngineConfig(
             delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
         )
         faults.arm(
             "parallel.worker.op",
-            "sigkill",
-            match={"shard": 1, "op": "release_index"},
+            action,
+            match={"shard": 1, "op": "index_arrays"},
         )
-        with pytest.raises(WorkerCrashError):
+        with pytest.raises(WorkerCrashError, match="shard worker 1 died"):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
+        assert list(tmp_path.glob("*.npz")) == []
 
-    def test_crash_during_export(self, scenario, tmp_path):
-        dataset, grid, config = scenario
-        config = EngineConfig(
-            delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
-        )
-        faults.arm(
-            "parallel.worker.op",
-            "exit",
-            match={"shard": 0, "op": "export_index"},
-        )
-        with pytest.raises(WorkerCrashError):
-            ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
-
-    def test_parent_merge_failure_reclaims_worker_segments(self, scenario, tmp_path):
-        # The parent dies between export and release: worker segments are
-        # reclaimed by name in the finally, workers tolerate the
-        # double-unlink on close.
+    def test_parent_merge_failure_writes_no_cache(self, scenario, tmp_path):
         dataset, grid, config = scenario
         config = EngineConfig(
             delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
@@ -179,7 +177,7 @@ class TestCrashDuringHandoff:
         faults.arm("parallel.parent.merge", "raise")
         with pytest.raises(faults.FaultInjected):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
         # The cache write never happened: no file, and no torn temp file.
         assert list(tmp_path.glob("*.npz")) == []
         assert list(tmp_path.glob("*.tmp")) == []
@@ -197,4 +195,4 @@ class TestCloseSemantics:
             engine.nm_batch(patterns)
         engine.close()
         engine.close()
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()

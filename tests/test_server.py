@@ -6,7 +6,7 @@ import pytest
 from repro.mobility.models import KalmanModel, LinearModel
 from repro.mobility.objects import GroundTruthPath
 from repro.mobility.reporting import ReportingConfig
-from repro.mobility.server import FleetTracker, TrackingServer, track_fleet
+from repro.mobility.server import FleetTracker, track_fleet
 
 
 @pytest.fixture
@@ -70,7 +70,3 @@ class TestTrackFleet:
         a = FleetTracker(LinearModel, CONFIG).track(paths)
         b = track_fleet(paths, LinearModel, CONFIG)
         assert a.total_mispredictions == b.total_mispredictions
-
-    def test_deprecated_alias(self):
-        # The old name stays importable and is the same class.
-        assert TrackingServer is FleetTracker

@@ -1,11 +1,19 @@
-"""Store-span parallel mining: same bits as /dev/shm sharding, no copies."""
+"""Store-span parallel mining: a store-backed dataset and its in-memory twin.
+
+An in-memory dataset spills to a temporary ``.tjc`` and shards over it;
+a store-backed dataset shards over its own file.  Both must give the same
+bits at the same width.
+"""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.index_cache import dataset_fingerprint
 from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.storage import open_store, write_store
@@ -33,17 +41,17 @@ def setup(eager, tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 class TestStoreSpanParallel:
-    def test_bit_identical_to_shm_parallel(self, eager, setup, jobs):
+    def test_bit_identical_to_in_memory_parallel(self, eager, setup, jobs):
         path, grid, config, _, patterns = setup
         with open_store(path) as store:
             with ParallelNMEngine(store.dataset(), grid, config, jobs=jobs) as spans, \
-                    ParallelNMEngine(eager, grid, config, jobs=jobs) as shm:
-                assert spans.n_shards == shm.n_shards
-                assert np.array_equal(spans.nm_batch(patterns), shm.nm_batch(patterns))
+                    ParallelNMEngine(eager, grid, config, jobs=jobs) as ram:
+                assert spans.n_shards == ram.n_shards
+                assert np.array_equal(spans.nm_batch(patterns), ram.nm_batch(patterns))
                 assert np.array_equal(
-                    spans.match_batch(patterns), shm.match_batch(patterns)
+                    spans.match_batch(patterns), ram.match_batch(patterns)
                 )
-                assert spans.active_cells == shm.active_cells
+                assert spans.active_cells == ram.active_cells
 
     def test_matches_serial_engine(self, setup, jobs):
         path, grid, config, serial, patterns = setup
@@ -58,14 +66,19 @@ class TestStoreSpanParallel:
 
 
 class TestSpanPlumbing:
-    def test_workers_receive_spans_not_shm(self, setup):
+    def test_workers_receive_spans_not_shm(self, eager, setup):
         path, grid, config, _, _ = setup
         with open_store(path) as store:
             with ParallelNMEngine(store.dataset(), grid, config, jobs=2) as spans:
-                # store-backed datasets skip /dev/shm entirely
-                assert spans._own_shm == [] or all(
-                    s is None for s in spans._own_shm
-                )
+                # A store-backed dataset is sharded over its own file.
+                assert spans.spill_path is None
+        with ParallelNMEngine(eager, grid, config, jobs=2) as ram:
+            # An in-memory dataset spills once; its store hashes like the
+            # dataset, so index-cache keys do not change.
+            with open_store(ram.spill_path) as spill:
+                assert spill.content_hash == dataset_fingerprint(eager)
+                assert (spill.positions, spill.compression) == ("f64", "none")
+        assert not os.path.exists(ram.spill_path)
 
     def test_partial_span_parallel(self, eager, setup):
         path, grid, config, _, _ = setup
@@ -75,7 +88,7 @@ class TestSpanPlumbing:
             patterns = [TrajectoryPattern((c,)) for c in sub_cells[:4]]
             with ParallelNMEngine(span, grid, config, jobs=2) as par:
                 sub = eager.subset(range(3, 11))
-                with ParallelNMEngine(sub, grid, config, jobs=2) as shm:
+                with ParallelNMEngine(sub, grid, config, jobs=2) as ram:
                     assert np.array_equal(
-                        par.nm_batch(patterns), shm.nm_batch(patterns)
+                        par.nm_batch(patterns), ram.nm_batch(patterns)
                     )

@@ -11,8 +11,6 @@ seeds through the engine paths.
 
 from __future__ import annotations
 
-import glob
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +27,7 @@ from repro.testkit.oracle import (
 )
 from repro.testkit.datasets import DEFAULT_SEEDS, oracle_setup
 from repro.core.engine import NMEngine
+from tests.conftest import assert_no_engine_leftovers
 
 
 class TestUlpMath:
@@ -129,7 +128,7 @@ class TestRunOracle:
         assert store.budget_ulps == 0  # bit-exact or fail
         warm = next(c for c in report.checks if c.path == "cache-warm")
         assert warm.detail == "hit"
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        assert_no_engine_leftovers()
 
     def test_tightened_budget_detects_reassociation(self):
         # Sanity that the budgets are doing work: an impossible budget of
