@@ -29,6 +29,7 @@ snapshots or telemetry series.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.datagen.bus import BusFleetConfig
@@ -191,6 +192,18 @@ class _UsageError(Exception):
     """A flag value the engine rejects; :func:`main` reports it like argparse."""
 
 
+@contextlib.contextmanager
+def _loading(path):
+    """Report a malformed input file as a usage error naming the file."""
+    try:
+        yield
+    except ValueError as exc:  # StoreFormatError is a ValueError too
+        detail = str(exc)
+        if not detail.startswith(str(path)):
+            detail = f"{path}: {detail}"
+        raise _UsageError(detail) from None
+
+
 def _engine_config(**fields):
     """``EngineConfig`` from command-line values, rejected values as usage errors."""
     from repro.core.engine import EngineConfig
@@ -277,7 +290,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     manifest_out = _resolve_manifest(args.manifest_out, args.output)
     _obs_setup(args, manifest_out)
 
-    dataset, store = _load_dataset_arg(args.dataset)
+    with _loading(args.dataset):
+        dataset, store = _load_dataset_arg(args.dataset)
     if args.cell_size and args.gamma is not None:
         # Everything a suggestion would provide was pinned on the command
         # line, so skip the full-dataset statistics scan -- this is what
@@ -354,9 +368,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    import hashlib
-    from pathlib import Path
-
     from repro.core import kernels
     from repro.core.results_io import load_mining_result
     from repro.core.streaming import StreamingNMEngine
@@ -368,7 +379,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     if args.chunk_size < 1:
         raise _UsageError("chunk_size must be positive")
-    result, grid = load_mining_result(args.patterns)
+    with _loading(args.patterns):
+        result, grid = load_mining_result(args.patterns)
     engine_config = _engine_config(
         delta=args.delta,
         min_prob=args.min_prob,
@@ -381,29 +393,30 @@ def _cmd_score(args: argparse.Namespace) -> int:
     )
     with obs_manifest.RunTimer() as timer:
         with tracing.span("run", command="score", dataset=str(args.dataset)):
-            streaming = StreamingNMEngine(
-                args.dataset, grid, engine_config, chunk_size=args.chunk_size
-            )
-            verified = streaming.verify_top_k(
-                result.patterns, k=len(result.patterns)
-            )
+            with _loading(args.dataset):
+                streaming = StreamingNMEngine(
+                    args.dataset, grid, engine_config, chunk_size=args.chunk_size
+                )
+            with streaming:
+                verified = streaming.verify_top_k(
+                    result.patterns, k=len(result.patterns)
+                )
     print(f"re-scored {len(verified)} patterns against {args.dataset}:")
     for pattern, nm in verified[: args.show]:
         print(f"  NM {nm:12.2f}  {pattern.cells}")
     store_extra = None
-    if streaming.store_backed:
+    if streaming.spill_path is None:
         from repro.storage import open_store
 
         with open_store(args.dataset) as store:
-            fingerprint = store.content_hash
             store_extra = _store_manifest_extra(store)
-    else:
-        fingerprint = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
     _obs_finish(
         args,
         manifest_out,
         command="score",
-        dataset_fingerprint=fingerprint,
+        # A JSONL input's temporary store hashes like the dataset, so this
+        # is the fingerprint `mine` records for the same file.
+        dataset_fingerprint=streaming.content_hash,
         config=engine_config,
         timer=timer,
         extra_metrics={

@@ -123,8 +123,8 @@ class EngineConfig:
     backend:
         Kernel backend for the hot loops (:mod:`repro.core.kernels`):
         ``"numpy"`` (default -- the reference implementation), ``"compiled"``
-        (numba or the native C library; falls back to numpy with a warning
-        when no toolchain is available) or ``"auto"`` (compiled when
+        (the native C library; falls back to numpy with a warning when no
+        C compiler is available) or ``"auto"`` (compiled when
         available, else numpy, silently).  Excluded from the index cache
         key except through the Prob-kernel tag: compiled box-``Prob``
         builds use libm ``erf`` and are keyed separately (see
@@ -367,7 +367,7 @@ class NMEngine:
 
     @property
     def backend_name(self) -> str:
-        """The kernel implementation actually running ("numpy"/"numba"/"cnative")."""
+        """The kernel implementation actually running ("numpy"/"cnative")."""
         return str(self._kernels.name)
 
     @property

@@ -13,11 +13,10 @@ Backends
     The reference implementation (:mod:`repro.core.kernels.numpy_ref`);
     ground truth for the differential oracle.
 ``compiled``
-    Tight native loops (:mod:`repro.core.kernels.compiled`): numba
-    ``@njit(cache=True)`` when numba is importable, else a small C library
-    built once with the system compiler and driven through ``ctypes``.
-    When neither toolchain works the registry degrades to ``numpy`` and
-    logs a structured warning.
+    Tight native loops (:mod:`repro.core.kernels.compiled`): a small C
+    library built once with the system compiler and driven through
+    ``ctypes``.  Without a C compiler the registry degrades to ``numpy``
+    and logs a structured warning.
 ``auto``
     ``compiled`` when available, else ``numpy`` -- silently (debug log).
 
@@ -25,7 +24,7 @@ Selection is config-driven end to end: ``EngineConfig(backend=...,
 dtype=...)``, CLI ``--backend/--dtype``, the ``serve.json`` snapshot
 fields, and the obs manifest record what actually ran.  The environment
 variable ``REPRO_KERNELS`` overrides provider choice for operational
-escape hatches: ``numba`` / ``cnative`` force one provider, ``none``
+escape hatches: ``cnative`` forces the C provider, ``none``
 disables compiled kernels entirely (useful to assert the fallback path).
 
 Precision modes
@@ -82,7 +81,7 @@ class KernelBackend(Protocol):
     per-call scratch from it so steady-state calls allocate nothing.
     """
 
-    name: str        #: resolved implementation ("numpy", "numba", "cnative")
+    name: str        #: resolved implementation ("numpy", "cnative")
     provider: str    #: toolchain behind it (same as name today)
     dtype: np.dtype  #: value dtype the evaluation kernels run in
     compiled: bool   #: True for native implementations

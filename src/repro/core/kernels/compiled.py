@@ -1,22 +1,17 @@
-"""Compiled kernel backend: numba ``@njit`` first, a ctypes C library second.
+"""Compiled kernel backend: a small C library loaded through ctypes.
 
-Two providers implement the same five kernels (deviation maxima, stacked
+One provider implements the five kernels (deviation maxima, stacked
 scores, segment maxima, box ``Prob``, gap DP):
 
-``numba``
-    Lazily imported, ``@njit(cache=True)`` so the LLVM compilation cost is
-    paid once per machine.  Kernels are dtype-generic -- numba specialises
-    per signature, which is how the float32 mode gets real float32 code.
 ``cnative``
     A small C translation unit compiled on first use with the system C
-    compiler (``cc``/``gcc``) into a content-hashed shared library under a
-    cache directory, loaded via ``ctypes``.  This is the fallback for
-    environments that have a toolchain but no numba wheel.
+    compiler (``cc``/``gcc``/``clang``) into a content-hashed shared
+    library under a cache directory, loaded via ``ctypes``.
 
-Neither provider is required: :func:`load_provider` raises with a precise
-reason when a provider cannot be built, and the registry in
+It is not required: :func:`load_provider` raises with a precise reason
+when the library cannot be built (no C compiler, say), and the registry in
 :mod:`repro.core.kernels` degrades to the numpy backend with a structured
-log warning.  Forcing is available via ``REPRO_KERNELS=numba|cnative|none``.
+log warning.  Forcing is available via ``REPRO_KERNELS=cnative|none``.
 
 Numerical notes
 ---------------
@@ -51,7 +46,7 @@ _log = logs.get_logger("kernels.compiled")
 
 __all__ = ["CompiledKernels", "load_provider", "PROVIDER_CHOICES"]
 
-PROVIDER_CHOICES = ("numba", "cnative")
+PROVIDER_CHOICES = ("cnative",)
 
 
 # -- the C translation unit ---------------------------------------------------
@@ -230,122 +225,6 @@ class _Provider:
         self.gap_dp = gap_dp
 
 
-def _build_numba_provider() -> _Provider:
-    from numba import njit  # lazy: raises ImportError when absent
-
-    import math
-
-    @njit(cache=True)
-    def devmax(cells, start, count, rows, vals, floor_t, valid, n_windows,
-               win_traj, scratch, touched, out):
-        n_patterns, m = cells.shape
-        n_traj = out.shape[1]
-        for p in range(n_patterns):
-            nt = 0
-            for j in range(m):
-                c = cells[p, j]
-                if c < 0:
-                    continue
-                e0 = start[c]
-                e1 = e0 + count[c]
-                for e in range(e0, e1):
-                    w = rows[e] - j
-                    if w < 0 or w >= n_windows or valid[w] == 0:
-                        continue
-                    d = vals[e] - floor_t
-                    if d <= 0:
-                        continue
-                    if scratch[w] == 0:
-                        touched[nt] = w
-                        nt += 1
-                    scratch[w] += d
-            for t in range(nt):
-                w = touched[t]
-                s = scratch[w]
-                scratch[w] = 0
-                tr = win_traj[w]
-                if s > out[p, tr]:
-                    out[p, tr] = s
-
-    @njit(cache=True)
-    def stacked_add(cells, start, count, rows, vals, floor_t, n_windows, out):
-        n_patterns, m = cells.shape
-        for p in range(n_patterns):
-            for j in range(m):
-                c = cells[p, j]
-                if c < 0:
-                    continue
-                e0 = start[c]
-                e1 = e0 + count[c]
-                for e in range(e0, e1):
-                    w = rows[e] - j
-                    if w < 0 or w >= n_windows:
-                        continue
-                    out[p, w] += vals[e] - floor_t
-
-    @njit(cache=True)
-    def segmax(vals, seg_starts, out):
-        n_segs = len(seg_starts)
-        n_vals = len(vals)
-        for s in range(n_segs):
-            lo = seg_starts[s]
-            hi = seg_starts[s + 1] if s + 1 < n_segs else n_vals
-            best = vals[lo]
-            for e in range(lo + 1, hi):
-                if vals[e] > best:
-                    best = vals[e]
-            out[s] = best
-
-    @njit(cache=True)
-    def prob_box(mean, sigma, center, delta, out):
-        sqrt2 = 1.4142135623730951
-        for i in range(len(out)):
-            s = sigma[i]
-            lo = (center[i, 0] - delta - mean[i, 0]) / s
-            hi = (center[i, 0] + delta - mean[i, 0]) / s
-            px = 0.5 * (1.0 + math.erf(hi / sqrt2)) - 0.5 * (1.0 + math.erf(lo / sqrt2))
-            lo = (center[i, 1] - delta - mean[i, 1]) / s
-            hi = (center[i, 1] + delta - mean[i, 1]) / s
-            py = 0.5 * (1.0 + math.erf(hi / sqrt2)) - 0.5 * (1.0 + math.erf(lo / sqrt2))
-            out[i] = px * py
-
-    @njit(cache=True)
-    def gap_dp(scores, offsets, seg_lens, gap_min, gap_max, length, best, nxt):
-        for t in range(length):
-            best[t] = -np.inf
-        n0 = seg_lens[0]
-        for t in range(n0 - 1, length):
-            best[t] = scores[offsets[0] + t - (n0 - 1)]
-        for j in range(1, len(seg_lens)):
-            n = seg_lens[j]
-            off = offsets[j]
-            for t in range(length):
-                nxt[t] = -np.inf
-            for t in range(n - 1, length):
-                s = t - n + 1
-                hi = s - 1 - gap_min[j - 1]
-                if hi < 0:
-                    continue
-                lo = s - 1 - gap_max[j - 1]
-                if lo < 0:
-                    lo = 0
-                pb = -np.inf
-                for q in range(lo, hi + 1):
-                    if best[q] > pb:
-                        pb = best[q]
-                if pb == -np.inf:
-                    continue
-                nxt[t] = pb + scores[off + s]
-            best, nxt = nxt, best
-        top = -np.inf
-        for t in range(length):
-            if best[t] > top:
-                top = best[t]
-        return top
-
-    return _Provider("numba", devmax, stacked_add, segmax, prob_box, gap_dp)
-
-
 def _lib_cache_dir() -> Path:
     override = os.environ.get("REPRO_KERNELS_CACHE")
     if override:
@@ -444,8 +323,6 @@ def _build_cnative_provider() -> _Provider:
 
 def load_provider(name: str) -> _Provider:
     """Build the named provider, raising with a precise reason on failure."""
-    if name == "numba":
-        return _build_numba_provider()
     if name == "cnative":
         return _build_cnative_provider()
     raise ValueError(f"unknown compiled provider {name!r}")
@@ -455,7 +332,7 @@ def load_provider(name: str) -> _Provider:
 
 
 class CompiledKernels:
-    """Kernel backend driving a compiled provider (numba or cnative)."""
+    """Kernel backend driving the compiled (cnative) provider."""
 
     compiled = True
 

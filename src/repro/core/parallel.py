@@ -4,21 +4,28 @@ NM and match are *sums of per-trajectory terms* (Eq. 4 summed over the
 dataset): per trajectory a window maximum, then one dataset sum.  Any
 partition of the dataset along the trajectory axis therefore evaluates
 independently, and the partition results combine by plain addition -- an
-**exact reduction**, not an approximation.  The out-of-core engine
-(:mod:`repro.core.streaming`) already exploits this sequentially; this
-module exploits it *concurrently*:
+**exact reduction**, not an approximation.  This module writes that idea
+down once for every *span executor*:
 
-* :func:`shard_dataset` splits the dataset into contiguous trajectory
-  spans balanced by snapshot count;
-* each span is owned by one long-lived worker that builds (or adopts) the
-  span's sparse index once and then serves candidate batches over it --
-  the sharded index build runs in all workers concurrently, which is
-  where the multi-core construction speedup comes from;
-* :class:`ParallelNMEngine` exposes the familiar evaluation surface
-  (``nm_batch``, ``match_batch``, the singular tables,
-  ``extend_right_tables_many``, per-trajectory arrays, gap-pattern NM) by
-  dispatching each request to every span and merging the replies in span
-  order.  The miners and the wildcard DP run on it unchanged.
+* :data:`SPAN_OPS` / :func:`run_span_op` -- the one op table mapping an
+  op name to a call on a span's :class:`~repro.core.engine.NMEngine`;
+  the wire form of each op is one entry of
+  :data:`repro.dist.wire.SPAN_OP_CODECS`;
+* the exact merges, and :class:`SpanEvaluator`, the one evaluation
+  surface (``nm_batch``, ``match_batch``, the singular tables,
+  ``extend_right_tables_many``, per-trajectory arrays, ``best_window``,
+  gap-pattern NM) built on a single primitive: run an op on spans, get
+  the results back in global span order.
+
+Three executors provide that primitive: fork-worker pools and TCP pools,
+both driven by :class:`ParallelNMEngine` below, and the in-process
+out-of-core streamer (:class:`repro.core.streaming.StreamingNMEngine`).
+Here, :func:`shard_dataset` splits the dataset into contiguous
+trajectory spans balanced by snapshot count, and each span is owned by
+one long-lived worker that builds (or adopts) the span's sparse index
+once and then serves ops over it -- the sharded index build runs in all
+workers concurrently, which is where the multi-core construction speedup
+comes from.  The miners and the wildcard DP run on it unchanged.
 
 Pools
 -----
@@ -204,9 +211,9 @@ def _skew(values: Sequence[float]) -> float:
 #
 # NM and match are sums of per-trajectory terms, so per-span results merge
 # by addition.  These module-level functions are the *only* merge
-# implementations: ParallelNMEngine calls them for every pool kind and the
-# out-of-core StreamingNMEngine for its chunks, which is what makes a
-# remote pool bit-identical to a local one at the same span partition.
+# implementations, called from SpanEvaluator for every executor, which is
+# what makes a remote pool bit-identical to a local one at the same span
+# partition.
 #
 # Determinism contract: every function folds its inputs **in the order
 # given**, and callers pass per-span results in global span order
@@ -253,7 +260,7 @@ def merge_singular_tables(
     """Merge per-span singular tables with floor completion.
 
     A span where a cell is inactive contributes the floor once per span
-    trajectory -- the same accounting the out-of-core engine uses.
+    trajectory.
     ``floor`` is ``min_log_prob`` for NM tables and ``exp(min_log_prob)``
     for match tables; ``tables`` and ``span_sizes`` must be in span order.
     """
@@ -294,6 +301,221 @@ def merge_extension_tables(
     return nm_merged, match_merged
 
 
+# -- the span op table ----------------------------------------------------------------
+#
+# One op name -> one NMEngine call, for every span executor: the fork
+# worker loop below, the TCP worker session (repro.dist.worker) and the
+# in-process streamer (repro.core.streaming).  Payloads are plain data --
+# cell tuples, a span-local trajectory index, a GapPattern -- so they
+# pickle over a pipe and have a wire codec (repro.dist.wire.SPAN_OP_CODECS).
+# Adding a span op means one entry here and one codec entry there.
+
+
+def _patterns(cells_list) -> list[TrajectoryPattern]:
+    return [TrajectoryPattern(cells) for cells in cells_list]
+
+
+def _gap_nm(engine: NMEngine, pattern) -> float:
+    from repro.core.wildcards import nm_gap_pattern  # deferred: avoids cycles
+
+    return float(nm_gap_pattern(engine, pattern))
+
+
+def _obs_snapshot(engine: NMEngine, _payload=None) -> dict:
+    return {
+        "n_traj": len(engine.dataset),
+        "n_entries": int(engine.n_index_entries),
+        "n_evaluations": int(engine.n_evaluations),
+        "n_batches": int(engine.n_batches),
+        "backend": engine.backend_name,
+        "metrics": metrics.get_registry().snapshot(),
+    }
+
+
+SPAN_OPS: dict[str, Callable[[NMEngine, Any], Any]] = {
+    "nm_batch": lambda engine, cells_list: engine.nm_batch(_patterns(cells_list)),
+    "match_batch": lambda engine, cells_list: engine.match_batch(_patterns(cells_list)),
+    "nm_per_traj": lambda engine, cells: engine.nm_per_trajectory(
+        TrajectoryPattern(cells)
+    ),
+    "match_per_traj": lambda engine, cells: engine.match_per_trajectory(
+        TrajectoryPattern(cells)
+    ),
+    "singular_nm": lambda engine, _: engine.singular_nm_table(),
+    "singular_match": lambda engine, _: engine.singular_match_table(),
+    "ext_tables": lambda engine, cells_list: engine.extension_tables_many(
+        _patterns(cells_list)
+    ),
+    "gap_nm": _gap_nm,
+    "best_window": lambda engine, cells_traj: engine.best_window(
+        TrajectoryPattern(cells_traj[0]), cells_traj[1]
+    ),
+    "stats": lambda engine, _: (int(engine.n_evaluations), int(engine.n_batches)),
+    "obs_snapshot": _obs_snapshot,
+    "index_arrays": lambda engine, _: engine.index_arrays(),
+}
+
+
+def run_span_op(engine: NMEngine, op: str, payload: Any = None) -> Any:
+    """Run one span op against the engine of one trajectory span."""
+    try:
+        fn = SPAN_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown span op {op!r}") from None
+    return fn(engine, payload)
+
+
+def span_meta(engine: NMEngine) -> dict:
+    """What a coordinator learns about a span when it is opened."""
+    return {
+        "n_traj": len(engine.dataset),
+        "n_entries": int(engine.n_index_entries),
+        "active_cells": [int(c) for c in engine.active_cells],
+        "backend": engine.backend_name,
+    }
+
+
+# -- the evaluation surface -----------------------------------------------------------
+
+
+class SpanEvaluator:
+    """Dataset answers from per-span results, for every span executor.
+
+    Subclasses supply one primitive, :meth:`_run_spans`: run a span op
+    (see :data:`SPAN_OPS`) on trajectory spans and return ``(span,
+    result)`` pairs in global span order.  :class:`ParallelNMEngine`
+    dispatches to pools; :class:`~repro.core.streaming.StreamingNMEngine`
+    walks its spans in-process.  Everything here is written once on top of
+    that primitive and the exact merges above, so every executor folds the
+    same per-span results in the same order.  Spans are dataset-relative
+    ``[lo, hi)`` trajectory ranges.
+    """
+
+    config: EngineConfig
+
+    def _span_bounds(self) -> list[Span]:
+        """The executor's span partition of the dataset, in order."""
+        raise NotImplementedError
+
+    def _run_spans(
+        self, op: str, payload: Any = None, spans: Sequence[Span] | None = None
+    ) -> list[tuple[Span, Any]]:
+        """Run ``op`` on ``spans`` (default: all); results in span order."""
+        raise NotImplementedError
+
+    def _merged(self, op: str, payload: Any = None) -> list:
+        """Run ``op`` on every span; per-span results in global span order."""
+        return [result for _span, result in self._run_spans(op, payload)]
+
+    # -- batched measures --------------------------------------------------------
+
+    def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+        """``NM(P)`` of a whole candidate batch: sum of per-span NM sums."""
+        cells_list = [p.cells for p in patterns]
+        if not cells_list:
+            return np.empty(0)
+        return merge_batch_sums(self._merged("nm_batch", cells_list))
+
+    def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+        """Dataset match of a whole candidate batch, in order."""
+        cells_list = [p.cells for p in patterns]
+        if not cells_list:
+            return np.empty(0)
+        return merge_batch_sums(self._merged("match_batch", cells_list))
+
+    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+        """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
+        return self.nm_batch(patterns)
+
+    def nm(self, pattern: TrajectoryPattern) -> float:
+        """``NM(P)`` over the dataset."""
+        return float(self.nm_batch([pattern])[0])
+
+    def match(self, pattern: TrajectoryPattern) -> float:
+        """Dataset match of ``pattern``."""
+        return float(self.match_batch([pattern])[0])
+
+    def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
+        """Eq. 4 per trajectory; span arrays concatenate in dataset order."""
+        return merge_per_trajectory(self._merged("nm_per_traj", pattern.cells))
+
+    def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
+        """Un-normalised match per trajectory, in dataset order."""
+        return merge_per_trajectory(self._merged("match_per_traj", pattern.cells))
+
+    def best_window(
+        self, pattern: TrajectoryPattern, traj_index: int
+    ) -> tuple[int, float] | None:
+        """Best (start, NM) window in one trajectory (routed to its span)."""
+        for lo, hi in self._span_bounds():
+            if lo <= traj_index < hi:
+                payload = (pattern.cells, traj_index - lo)
+                [(_span, result)] = self._run_spans("best_window", payload, [(lo, hi)])
+                return result
+        raise IndexError(f"trajectory index {traj_index} out of range")
+
+    # -- singular tables -----------------------------------------------------------
+
+    def _singular_table(self, op: str, floor: float) -> dict[int, float]:
+        parts = self._run_spans(op)
+        sizes = [hi - lo for (lo, hi), _table in parts]
+        return merge_singular_tables(
+            [table for _span, table in parts], sizes, floor, sum(sizes)
+        )
+
+    def singular_nm_table(self) -> dict[int, float]:
+        """NM of every active singular pattern (exact span reduction).
+
+        A span where a cell is inactive contributes the floor once per span
+        trajectory, so the result equals the single-engine table.
+        """
+        return self._singular_table("singular_nm", self.config.min_log_prob)
+
+    def singular_match_table(self) -> dict[int, float]:
+        """Match of every active singular pattern (exact span reduction)."""
+        return self._singular_table(
+            "singular_match", float(np.exp(self.config.min_log_prob))
+        )
+
+    # -- extension tables ----------------------------------------------------------
+
+    def extend_right_tables(
+        self, pattern: TrajectoryPattern
+    ) -> tuple[dict[int, float], dict[int, float]]:
+        """NM and match of ``pattern + (c,)`` for every active cell ``c``."""
+        return self.extend_right_tables_many([pattern])[0]
+
+    def extend_right_tables_many(
+        self, patterns: Sequence[TrajectoryPattern]
+    ) -> list[tuple[dict[int, float], dict[int, float]]]:
+        """Span-reduced :meth:`NMEngine.extend_right_tables_many`.
+
+        Per prefix, each span reports its extension tables *plus* the base
+        totals an inactive cell would score there; a cell missing from a
+        span's table contributes that span's base -- making the merged
+        table exactly the full-dataset one.
+        """
+        cells_list = [p.cells for p in patterns]
+        if not cells_list:
+            return []
+        per_span: list[list[ExtensionTables]] = self._merged("ext_tables", cells_list)
+        return [
+            merge_extension_tables([tables[i] for tables in per_span])
+            for i in range(len(cells_list))
+        ]
+
+    # -- gap patterns ------------------------------------------------------------
+
+    def nm_gap_pattern_total(self, pattern) -> float:
+        """Dataset NM of a :class:`~repro.core.wildcards.GapPattern`.
+
+        Each span runs the alignment DP; per-trajectory bests sum exactly.
+        :func:`repro.core.wildcards.nm_gap_pattern` dispatches here
+        automatically.
+        """
+        return merge_scalar_sums(self._merged("gap_nm", pattern))
+
+
 # -- the worker process ---------------------------------------------------------------
 
 
@@ -317,8 +539,7 @@ class _WorkerInit:
 
 
 def _worker_main(conn, init: _WorkerInit) -> None:
-    """Span worker loop: build once, then serve evaluation requests."""
-    from repro.core.wildcards import nm_gap_pattern  # deferred: avoids cycles
+    """Span worker loop: build once, then serve span ops over the pipe."""
     from repro.storage import open_store  # deferred: storage imports core
 
     # Fresh per-process observability: forget (never close -- the file
@@ -356,17 +577,7 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 "n_entries": engine.n_index_entries,
             },
         )
-        conn.send(
-            (
-                "ok",
-                {
-                    "n_traj": len(engine.dataset),
-                    "n_entries": engine.n_index_entries,
-                    "active_cells": [int(c) for c in engine.active_cells],
-                    "backend": engine.backend_name,
-                },
-            )
-        )
+        conn.send(("ok", span_meta(engine)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -374,9 +585,6 @@ def _worker_main(conn, init: _WorkerInit) -> None:
             pass  # parent already gone; exit quietly
         conn.close()
         return
-
-    def patterns_of(cells_list) -> list[TrajectoryPattern]:
-        return [TrajectoryPattern(cells) for cells in cells_list]
 
     running = True
     try:
@@ -390,43 +598,10 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 faults.fire("parallel.worker.op", shard=init.shard, op=op)
                 if op == "close":
                     result, running = None, False
-                elif op == "nm_batch":
-                    result = engine.nm_batch(patterns_of(payload))
-                elif op == "match_batch":
-                    result = engine.match_batch(patterns_of(payload))
-                elif op == "nm_per_traj":
-                    result = engine.nm_per_trajectory(TrajectoryPattern(payload))
-                elif op == "match_per_traj":
-                    result = engine.match_per_trajectory(TrajectoryPattern(payload))
-                elif op == "singular_nm":
-                    result = engine.singular_nm_table()
-                elif op == "singular_match":
-                    result = engine.singular_match_table()
-                elif op == "ext_tables":
-                    result = engine.extension_tables_many(patterns_of(payload))
-                elif op == "gap_nm":
-                    result = nm_gap_pattern(engine, payload)
-                elif op == "best_window":
-                    cells, local_index = payload
-                    result = engine.best_window(TrajectoryPattern(cells), local_index)
-                elif op == "index_arrays":
-                    result = engine.index_arrays()
-                elif op == "stats":
-                    result = (engine.n_evaluations, engine.n_batches)
-                elif op == "obs_snapshot":
-                    result = {
-                        "shard": init.shard,
-                        "backend": engine.backend_name,
-                        "n_traj": len(engine.dataset),
-                        "n_entries": engine.n_index_entries,
-                        "n_evaluations": engine.n_evaluations,
-                        "n_batches": engine.n_batches,
-                        "metrics": metrics.get_registry().snapshot(),
-                    }
                 elif op == "obs_drain":
                     result = trace_sink.drain() if trace_sink is not None else []
                 else:
-                    raise ValueError(f"unknown worker op {op!r}")
+                    result = run_span_op(engine, op, payload)
                 conn.send(("ok", result))
             except BaseException:
                 try:
@@ -582,7 +757,7 @@ class LocalPool:
 # -- the coordinator ------------------------------------------------------------------
 
 
-class ParallelNMEngine:
+class ParallelNMEngine(SpanEvaluator):
     """Sharded NM/match evaluation over pools, with an NMEngine-like API.
 
     Parameters
@@ -664,6 +839,7 @@ class ParallelNMEngine:
             # Spans live in *absolute* store coordinates; relative and
             # absolute order coincide, so merge order is unaffected.
             self._spans = [(base_lo + lo, base_lo + hi) for lo, hi in self.shard_bounds]
+            self._absolute = dict(zip(self.shard_bounds, self._spans))
             for i, (kind, address) in enumerate(specs):
                 if kind == "local":
                     pool = LocalPool(
@@ -761,7 +937,6 @@ class ParallelNMEngine:
         self._open(self._spans)
 
         metas = [self._span_meta[span] for span in self._spans]
-        self._shard_sizes = [int(meta["n_traj"]) for meta in metas]
         self._shard_entries = [int(meta["n_entries"]) for meta in metas]
         # Workers re-resolve the kernel backend in their own process, so a
         # "compiled"/"auto" config may land differently there than in the
@@ -906,10 +1081,16 @@ class ParallelNMEngine:
                 self._open(todo)
         return results
 
-    def _merged(self, op: str, payload=None) -> list:
-        """Run ``op`` on every span; per-span results in global span order."""
-        results = self._dispatch(op, payload)
-        return [results[span] for span in self._spans]
+    def _span_bounds(self) -> list[Span]:
+        return list(self.shard_bounds)
+
+    def _run_spans(
+        self, op: str, payload: Any = None, spans: Sequence[Span] | None = None
+    ) -> list[tuple[Span, Any]]:
+        bounds = self.shard_bounds if spans is None else list(spans)
+        absolute = [self._absolute[span] for span in bounds]
+        results = self._dispatch(op, payload, absolute)
+        return [(span, results[a]) for span, a in zip(bounds, absolute)]
 
     # -- metadata --------------------------------------------------------------
 
@@ -966,15 +1147,14 @@ class ParallelNMEngine:
         of per-shard index entries) and ``eval_skew`` (max/mean of
         per-shard evaluation counts).
         """
-        results = self._dispatch("obs_snapshot")
         shards = [
             {
-                **results[span],
                 "shard": i,
+                **snapshot,
                 "trajectories": list(bounds),
-                "pool": self._assignment[span].name,
+                "pool": self._assignment[self._absolute[bounds]].name,
             }
-            for i, (span, bounds) in enumerate(zip(self._spans, self.shard_bounds))
+            for i, (bounds, snapshot) in enumerate(self._run_spans("obs_snapshot"))
         ]
         entry_skew = _skew([s["n_entries"] for s in shards])
         eval_skew = _skew([s["n_evaluations"] for s in shards])
@@ -1014,120 +1194,6 @@ class ParallelNMEngine:
                 tracing.emit_foreign(records)
                 total += len(records)
         return total
-
-    # -- batched measures --------------------------------------------------------
-
-    def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """``NM(P)`` of a whole candidate batch: sum of per-shard NM sums."""
-        patterns = list(patterns)
-        if not patterns:
-            return np.empty(0)
-        cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._merged("nm_batch", cells_list))
-
-    def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """Dataset match of a whole candidate batch, in order."""
-        patterns = list(patterns)
-        if not patterns:
-            return np.empty(0)
-        cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._merged("match_batch", cells_list))
-
-    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
-        return self.nm_batch(patterns)
-
-    def nm(self, pattern: TrajectoryPattern) -> float:
-        """``NM(P)`` over the dataset."""
-        return float(self.nm_batch([pattern])[0])
-
-    def match(self, pattern: TrajectoryPattern) -> float:
-        """Dataset match of ``pattern``."""
-        return float(self.match_batch([pattern])[0])
-
-    def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Eq. 4 per trajectory; shard arrays concatenate in dataset order."""
-        return merge_per_trajectory(self._merged("nm_per_traj", pattern.cells))
-
-    def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Un-normalised match per trajectory, in dataset order."""
-        return merge_per_trajectory(self._merged("match_per_traj", pattern.cells))
-
-    def best_window(
-        self, pattern: TrajectoryPattern, traj_index: int
-    ) -> tuple[int, float] | None:
-        """Best (start, NM) window in one trajectory (routed to its shard)."""
-        if not 0 <= traj_index < len(self.dataset):
-            raise IndexError(f"trajectory index {traj_index} out of range")
-        for span, (lo, hi) in zip(self._spans, self.shard_bounds):
-            if lo <= traj_index < hi:
-                payload = (pattern.cells, traj_index - lo)
-                return self._dispatch("best_window", payload, [span])[span]
-        raise AssertionError("unreachable: shard bounds cover the dataset")
-
-    # -- singular tables -----------------------------------------------------------
-
-    def singular_nm_table(self) -> dict[int, float]:
-        """NM of every active singular pattern (exact sharded reduction).
-
-        A shard where a cell is inactive contributes the floor once per
-        shard trajectory -- the same accounting the out-of-core engine uses.
-        """
-        return merge_singular_tables(
-            self._merged("singular_nm"),
-            self._shard_sizes,
-            self.config.min_log_prob,
-            len(self.dataset),
-        )
-
-    def singular_match_table(self) -> dict[int, float]:
-        """Match of every active singular pattern (exact sharded reduction)."""
-        floor_p = float(np.exp(self.config.min_log_prob))
-        return merge_singular_tables(
-            self._merged("singular_match"),
-            self._shard_sizes,
-            floor_p,
-            len(self.dataset),
-        )
-
-    # -- extension tables ----------------------------------------------------------
-
-    def extend_right_tables(
-        self, pattern: TrajectoryPattern
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """NM and match of ``pattern + (c,)`` for every active cell ``c``."""
-        return self.extend_right_tables_many([pattern])[0]
-
-    def extend_right_tables_many(
-        self, patterns: Sequence[TrajectoryPattern]
-    ) -> list[tuple[dict[int, float], dict[int, float]]]:
-        """Sharded :meth:`NMEngine.extend_right_tables_many`.
-
-        Per prefix, each shard reports its extension tables *plus* the base
-        totals an inactive cell would score there; a cell missing from a
-        shard's table contributes that shard's base -- making the merged
-        table exactly the full-dataset one.
-        """
-        patterns = list(patterns)
-        if not patterns:
-            return []
-        cells_list = [p.cells for p in patterns]
-        per_shard: list[list[ExtensionTables]] = self._merged("ext_tables", cells_list)
-        return [
-            merge_extension_tables([tables[i] for tables in per_shard])
-            for i in range(len(patterns))
-        ]
-
-    # -- gap patterns ------------------------------------------------------------
-
-    def nm_gap_pattern_total(self, pattern) -> float:
-        """Dataset NM of a :class:`~repro.core.wildcards.GapPattern`.
-
-        Each worker runs the alignment DP over its shard; per-trajectory
-        bests sum exactly.  :func:`repro.core.wildcards.nm_gap_pattern`
-        dispatches here automatically.
-        """
-        return merge_scalar_sums(self._merged("gap_nm", pattern))
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -75,7 +75,7 @@ def load_mining_result(path: str | Path) -> tuple[MiningResult, Grid]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON document: {exc}") from exc
-    if document.get("format") != _FORMAT:
+    if not isinstance(document, dict) or document.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a mining-result file")
     if document.get("version") != _VERSION:
         raise ValueError(

@@ -5,25 +5,31 @@ of Q, it is not necessary to load the entire input data set at once since
 we only need a portion of the data set at a time for computing the NM.
 Thus the space complexity of our algorithm can be considered as O(kMG)."
 
-:class:`StreamingNMEngine` realises that claim: it evaluates the NM and
-match of pattern batches by streaming trajectories from a dataset file in
-bounded-size chunks, building the in-memory probability index only for the
-chunk in flight.  Because NM and match are *sums of per-trajectory terms*
-(Eq. 4 summed over D), chunk results combine by plain addition -- the
-evaluation is embarrassingly partitionable over trajectories.
+:class:`StreamingNMEngine` realises that claim.  It is the third span
+executor next to the fork and TCP pools of :mod:`repro.core.parallel`:
+it walks fixed ``chunk_size``-trajectory spans of a ``.tjc`` columnar
+store (:mod:`repro.storage`) in order, in-process, building the in-memory
+probability index only for the span in flight, and runs the shared span
+op table (:func:`~repro.core.parallel.run_span_op`) on it.  Because NM
+and match are *sums of per-trajectory terms* (Eq. 4 summed over D), span
+results combine by the same exact merges every executor uses
+(:class:`~repro.core.parallel.SpanEvaluator`).
 
-Two file formats are accepted (sniffed, not suffix-matched):
+Spans are read straight from the column chunks (bounded ``pread``, no mmap
+growth).  With ``config.cache_dir`` set each span's index is cached under
+a :func:`~repro.core.index_cache.span_cache_key` -- keyed by the store's
+content hash and the span bounds, so re-scoring runs rebuild nothing and
+the cache warms span by span without ever fingerprinting (or holding) the
+whole dataset.
 
-* **JSONL** (:func:`repro.trajectory.io.save_dataset_jsonl`) -- parsed
-  line by line, one chunk of trajectories resident at a time;
-* **``.tjc`` columnar stores** (:mod:`repro.storage`) -- chunks become
-  trajectory *spans* read straight from the column chunks (bounded
-  ``pread``, no mmap growth), and with ``config.cache_dir`` set each
-  span's index is cached under a :func:`~repro.core.index_cache.
-  span_cache_key` -- keyed by the store's content hash and the span
-  bounds, so re-scoring runs rebuild nothing and the cache warms span by
-  span, incrementally, without ever fingerprinting (or holding) the whole
-  dataset.
+A JSONL input (:func:`repro.trajectory.io.save_dataset_jsonl`) is
+converted once, at construction, to a temporary lossless store with
+:func:`repro.storage.convert_jsonl_to_store` (streaming, bounded memory;
+float64 positions, no compression).  It is named ``repro-spill-*`` in
+``tempfile``'s default directory, its ``content_hash`` equals
+:func:`repro.core.index_cache.dataset_fingerprint` of the same data, and
+:meth:`StreamingNMEngine.close` -- also the context-manager exit, garbage
+collection and interpreter exit -- removes it.
 
 Intended use: verifying or re-scoring mined pattern sets against datasets
 too large for one resident index (the miner itself wants the random access
@@ -34,39 +40,47 @@ the in-memory engine exactly.
 
 from __future__ import annotations
 
-import json
+import os
+import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from repro.core.engine import EngineConfig, NMEngine
-from repro.core.parallel import merge_batch_sums, merge_singular_tables
+from repro.core.parallel import SPILL_PREFIX, Span, SpanEvaluator, run_span_op
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
-from repro.trajectory.dataset import TrajectoryDataset
-from repro.trajectory.trajectory import UncertainTrajectory
 
 _log = logs.get_logger("streaming")
 
 
-class StreamingNMEngine:
-    """Chunked NM/match evaluation over a JSONL trajectory file.
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+class StreamingNMEngine(SpanEvaluator):
+    """Span-at-a-time NM/match evaluation over a trajectory file.
 
     Parameters
     ----------
     path:
-        A dataset file: JSONL written by
-        :func:`repro.trajectory.io.save_dataset_jsonl`, or a ``.tjc``
-        columnar store (detected by magic).
+        A ``.tjc`` columnar store (detected by magic), or JSONL written by
+        :func:`repro.trajectory.io.save_dataset_jsonl` (converted once to a
+        temporary store).
     grid, config:
         The same geometry/probability configuration an in-memory engine
         would use; results are identical by construction.
     chunk_size:
-        Trajectories resident per chunk -- the memory knob.  Peak memory is
-        one chunk's probability index instead of the whole dataset's.
+        Trajectories resident per span -- the memory knob.  Peak memory is
+        one span's probability index instead of the whole dataset's.
+
+    For JSONL input the instance owns a temporary store; call
+    :meth:`close` (or use it as a context manager) to remove it.
     """
 
     def __init__(
@@ -85,45 +99,54 @@ class StreamingNMEngine:
         self.config = config
         self.chunk_size = chunk_size
         self.n_chunks_scanned = 0  # instrumentation
-        self.span_cache_hits = 0  # store mode: spans served from the cache
-        self.store_backed = is_store_path(self.path)
-        if self.store_backed:
-            # O(footer) open validates magic/version and pins the content
-            # hash that names this store's span cache entries.
-            with open_store(self.path) as store:
-                self._store_hash = store.content_hash
-                self._n_store_traj = store.n_trajectories
-            return
-        # Validate the header eagerly so misuse fails at construction.
-        with self.path.open("r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline() or "null")
-        if not isinstance(header, dict) or header.get("format") != "repro.trajectory":
-            raise ValueError(f"{self.path}: not a repro trajectory JSONL file")
+        self.span_cache_hits = 0  # spans served from the index cache
+        #: The temporary store a JSONL input was converted to (else None).
+        self.spill_path: str | None = None
+        self._finalizer: weakref.finalize | None = None
+        self._store_path = self.path if is_store_path(self.path) else self._convert()
+        # O(footer) open validates magic/version and pins the content hash
+        # that names this store's span cache entries.
+        with open_store(self._store_path) as store:
+            self.content_hash = store.content_hash
 
-    # -- streaming machinery ---------------------------------------------------
+    def _convert(self) -> Path:
+        """Convert the JSONL input to a temporary store; return its path."""
+        from repro.storage import convert_jsonl_to_store  # deferred: layering
 
-    def _iter_chunks(self) -> Iterator[TrajectoryDataset]:
-        """Yield the JSONL file as bounded TrajectoryDataset chunks.
+        fd, path = tempfile.mkstemp(prefix=SPILL_PREFIX, suffix=".tjc")
+        os.close(fd)
+        self.spill_path = path
+        self._finalizer = weakref.finalize(self, _remove, path)
+        try:
+            convert_jsonl_to_store(self.path, path)
+        except BaseException:
+            self.close()
+            raise
+        return Path(path)
 
-        Rides :func:`repro.trajectory.io.iter_dataset_jsonl`, so parsing is
-        line-by-line (one trajectory resident beyond the current batch) and
-        malformed records fail with the usual ``path:line`` errors.
-        """
-        from repro.trajectory.io import iter_dataset_jsonl
+    # -- the span executor -------------------------------------------------------
 
-        batch: list[UncertainTrajectory] = []
-        stream = iter_dataset_jsonl(self.path)
-        next(stream)  # header metadata
-        for traj in stream:
-            batch.append(traj)
-            if len(batch) == self.chunk_size:
-                yield TrajectoryDataset(batch)
-                batch = []
-        if batch:
-            yield TrajectoryDataset(batch)
+    def _chunk_bounds(self, n_trajectories: int) -> list[Span]:
+        return [
+            (lo, min(lo + self.chunk_size, n_trajectories))
+            for lo in range(0, n_trajectories, self.chunk_size)
+        ]
 
-    def _store_chunk_engines(self) -> Iterator[NMEngine]:
-        """Span-at-a-time engines over a ``.tjc`` store.
+    def _open_store(self):
+        from repro.storage import open_store  # deferred: layering
+
+        if self._finalizer is not None and not self._finalizer.alive:
+            raise RuntimeError("StreamingNMEngine is closed")
+        return open_store(self._store_path)
+
+    def _span_bounds(self) -> list[Span]:
+        with self._open_store() as store:
+            return self._chunk_bounds(store.n_trajectories)
+
+    def _run_spans(
+        self, op: str, payload: Any = None, spans: Sequence[Span] | None = None
+    ) -> list[tuple[Span, Any]]:
+        """Build one span engine at a time, in order, and run ``op`` on it.
 
         Each span reads its rows through bounded ``pread`` (``mode="read"``
         -- the mapping never grows, so peak RSS is one span).  With
@@ -133,39 +156,39 @@ class StreamingNMEngine:
         after, independent of every other span.
         """
         from repro.core import index_cache, kernels  # deferred: layering
-        from repro.storage import open_store
 
         cache_dir = self.config.cache_dir
         kernel_tag = kernels.prob_kernel_tag(self.config)
-        # Chunk engines stay in-process and never cache whole-chunk-dataset
+        # Span engines stay in-process and never cache whole-span-dataset
         # keys themselves -- the span cache above is their cache.
         config = replace(self.config, jobs=1, cache_dir=None)
-        with open_store(self.path) as store:
+        results: list[tuple[Span, Any]] = []
+        with self._open_store() as store:
             # The store is re-opened per scan, so an atomic replace of the
             # file (same path, new contents -- a live ingest pipeline
             # republishing its report log does exactly this) is picked up
             # here: the pinned content hash must follow, or span cache keys
             # would keep naming the *old* contents' entries and silently
             # serve stale indexes over the new rows.
-            if store.content_hash != self._store_hash:
+            if store.content_hash != self.content_hash:
                 _log.info(
                     "store contents changed; refreshing span cache identity",
                     extra={
                         "path": str(self.path),
-                        "old_hash": self._store_hash[:12],
+                        "old_hash": self.content_hash[:12],
                         "new_hash": store.content_hash[:12],
                     },
                 )
-                self._store_hash = store.content_hash
-                self._n_store_traj = store.n_trajectories
+                self.content_hash = store.content_hash
             offsets = store.row_offsets
-            for lo in range(0, store.n_trajectories, self.chunk_size):
-                hi = min(lo + self.chunk_size, store.n_trajectories)
+            if spans is None:
+                spans = self._chunk_bounds(store.n_trajectories)
+            for lo, hi in spans:
                 span = store.span(lo, hi, mode="read")
                 prebuilt, span_key = None, None
                 if cache_dir is not None:
                     span_key = index_cache.span_cache_key(
-                        self._store_hash,
+                        self.content_hash,
                         lo,
                         hi,
                         self.grid,
@@ -195,87 +218,12 @@ class StreamingNMEngine:
                     index_cache.save_index(
                         cache_dir, span_key, *engine.index_arrays()
                     )
-                yield engine
-
-    def _per_chunk(self, fn) -> list:
-        """``fn(engine)`` for every chunk engine, in file order (one pass)."""
-        parts = [fn(engine) for engine in self._chunk_engines()]
-        if not parts:
+                results.append(((lo, hi), run_span_op(engine, op, payload)))
+        if not results:
             raise ValueError(f"{self.path}: dataset contains no trajectories")
-        return parts
-
-    def _chunk_engines(self) -> Iterator[NMEngine]:
-        if self.store_backed:
-            yield from self._store_chunk_engines()
-            return
-        # Chunk engines are always in-process (one resident index is the
-        # whole point); `jobs` is neutralised rather than spawning a pool
-        # per chunk.  `cache_dir` is kept: each chunk gets its own
-        # content-keyed cache file, so repeated re-scoring runs skip every
-        # chunk's index build.
-        config = (
-            replace(self.config, jobs=1) if self.config.jobs != 1 else self.config
-        )
-        for chunk in self._iter_chunks():
-            self.n_chunks_scanned += 1
-            metrics.counter("streaming.chunks_scanned").inc()
-            with tracing.span(
-                "streaming.chunk",
-                chunk=self.n_chunks_scanned,
-                n_traj=len(chunk),
-            ):
-                engine = NMEngine(chunk, self.grid, config)
-            _log.debug(
-                "streaming chunk ready",
-                extra={
-                    "path": str(self.path),
-                    "chunk": self.n_chunks_scanned,
-                    "n_traj": len(chunk),
-                    "n_entries": engine.n_index_entries,
-                },
-            )
-            yield engine
+        return results
 
     # -- evaluation -------------------------------------------------------------
-
-    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """Dataset NM of each pattern, computed in one pass over the file.
-
-        One chunk index is resident at a time; the whole pattern batch is
-        scored against it with one :meth:`NMEngine.nm_batch` call before it
-        is dropped, so the file is read exactly once per call regardless of
-        the batch size.
-        """
-        if not patterns:
-            return np.empty(0)
-        return merge_batch_sums(self._per_chunk(lambda e: e.nm_batch(patterns)))
-
-    def match_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """Dataset match of each pattern, one pass over the file."""
-        if not patterns:
-            return np.empty(0)
-        return merge_batch_sums(self._per_chunk(lambda e: e.match_batch(patterns)))
-
-    def nm(self, pattern: TrajectoryPattern) -> float:
-        """Dataset NM of one pattern (prefer :meth:`nm_many` for batches)."""
-        return float(self.nm_many([pattern])[0])
-
-    def match(self, pattern: TrajectoryPattern) -> float:
-        """Dataset match of one pattern."""
-        return float(self.match_many([pattern])[0])
-
-    def singular_nm_table(self) -> dict[int, float]:
-        """NM of every active singular pattern, accumulated across chunks.
-
-        Cells inactive in a chunk contribute that chunk's floor terms; the
-        accumulation accounts for them so the result matches the in-memory
-        engine exactly.
-        """
-        parts = self._per_chunk(lambda e: (e.singular_nm_table(), len(e.dataset)))
-        tables, sizes = zip(*parts)
-        return merge_singular_tables(
-            tables, sizes, self.config.min_log_prob, sum(sizes)
-        )
 
     def verify_top_k(
         self, patterns: Sequence[TrajectoryPattern], k: int
@@ -289,3 +237,16 @@ class StreamingNMEngine:
             key=lambda i: (-values[i], len(patterns[i]), patterns[i].cells),
         )
         return [(patterns[i], float(values[i])) for i in order[:k]]
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def close(self) -> None:
+        """Remove the temporary store of a JSONL input.  Idempotent."""
+        if self._finalizer is not None:
+            self._finalizer()
+
+    def __enter__(self) -> "StreamingNMEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

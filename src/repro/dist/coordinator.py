@@ -152,17 +152,11 @@ class RemotePool:
         return reply["metas"]
 
     def dispatch(self, op: str, payload, spans: Sequence[tuple[int, int]]) -> None:
-        request: dict = {"op": op, "spans": wire.spans_to_wire(spans)}
-        if op in ("nm_batch", "match_batch", "ext_tables"):
-            request["patterns"] = wire.patterns_to_wire(payload)
-        elif op in ("nm_per_traj", "match_per_traj"):
-            request["cells"] = [int(c) for c in payload]
-        elif op == "gap_nm":
-            request["pattern"] = wire.gap_pattern_to_wire(payload)
-        elif op == "best_window":
-            cells, traj = payload
-            request["cells"] = [int(c) for c in cells]
-            request["traj"] = int(traj)
+        request = {
+            "op": op,
+            "spans": wire.spans_to_wire(spans),
+            **wire.SPAN_OP_CODECS[op].payload_to_wire(payload),
+        }
         self._pending = list(spans)
         self._pending_op = op
         self._pending_id = self._send(request, self.op_timeout_s)
@@ -176,31 +170,12 @@ class RemotePool:
             raise PoolFailure(
                 self, f"malformed results for op {self._pending_op!r}"
             )
-        op = self._pending_op
-        out = {
-            span: self._decode(op, result)
-            for span, result in zip(self._pending, results)
-        }
+        decode = wire.SPAN_OP_CODECS[self._pending_op].result_from_wire
+        out = {span: decode(result) for span, result in zip(self._pending, results)}
         self._pending = None
         self._pending_id = None
         self._pending_op = None
         return out
-
-    @staticmethod
-    def _decode(op: str, result):
-        if op in ("nm_batch", "match_batch", "nm_per_traj", "match_per_traj"):
-            return wire.array_from_wire(result)
-        if op in ("singular_nm", "singular_match"):
-            return wire.table_from_wire(result)
-        if op == "ext_tables":
-            return [wire.ext_tables_from_wire(t) for t in result]
-        if op == "gap_nm":
-            return float(result)
-        if op == "best_window":
-            return wire.best_window_from_wire(result)
-        if op == "stats":
-            return (int(result[0]), int(result[1]))
-        return result  # obs_snapshot: plain dict
 
     def ping(self, timeout: float = 5.0) -> bool:
         try:

@@ -1,10 +1,13 @@
 """The distributed-mining wire protocol: worker ops over NDJSON/TCP.
 
-This is the :mod:`repro.core.parallel` worker op set promoted onto the
+This is the :mod:`repro.core.parallel` span op table promoted onto the
 same newline-delimited-JSON framing :mod:`repro.serve.protocol` already
 proves out.  One request per line, one response per line, correlated by
 ``id``; a request may address several store spans at once and the
-response carries one result per span, in request order.
+response carries one result per span, in request order.  Each span op's
+payload and result codecs are one entry of :data:`SPAN_OP_CODECS`, read
+by both the coordinator's :class:`~repro.dist.coordinator.RemotePool`
+and the worker session.
 
 Exactness over the wire
 -----------------------
@@ -47,9 +50,9 @@ Requests
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
-from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -296,6 +299,96 @@ def best_window_from_wire(obj: Any) -> tuple[int, float] | None:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ProtocolError("best_window result must be [start, nm] or null")
     return int(obj[0]), float(obj[1])
+
+
+# -- the span op codec table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpanOpCodec:
+    """How one span op travels.
+
+    ``payload_to_wire`` turns the coordinator's payload into request
+    fields and ``payload_from_wire`` turns a request back into the
+    payload :func:`repro.core.parallel.run_span_op` takes, validating it;
+    the ``result_*`` pair does the same for one span's result.
+    """
+
+    payload_to_wire: Callable[[Any], dict]
+    payload_from_wire: Callable[[dict], Any]
+    result_to_wire: Callable[[Any], Any]
+    result_from_wire: Callable[[Any], Any]
+
+
+def _cells_from_wire(obj: Any) -> tuple[int, ...]:
+    return patterns_from_wire([obj])[0]
+
+
+def _traj_from_wire(obj: Any) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ProtocolError("traj must be an integer")
+    return obj
+
+
+_PATTERNS = {
+    "payload_to_wire": lambda cells_list: {"patterns": patterns_to_wire(cells_list)},
+    "payload_from_wire": lambda request: patterns_from_wire(request.get("patterns")),
+}
+_CELLS = {
+    "payload_to_wire": lambda cells: {"cells": [int(c) for c in cells]},
+    "payload_from_wire": lambda request: _cells_from_wire(request.get("cells")),
+}
+_NO_PAYLOAD = {
+    "payload_to_wire": lambda _payload: {},
+    "payload_from_wire": lambda _request: None,
+}
+_ARRAY = {"result_to_wire": array_to_wire, "result_from_wire": array_from_wire}
+_TABLE = {"result_to_wire": table_to_wire, "result_from_wire": table_from_wire}
+
+#: The codecs of every span-scoped op, keyed by op name: every op in
+#: :data:`DIST_OPS` except the session ops (``hello``, ``open``, ``ping``,
+#: ``obs_drain``, ``close``), which a worker session answers itself.
+SPAN_OP_CODECS: dict[str, SpanOpCodec] = {
+    "nm_batch": SpanOpCodec(**_PATTERNS, **_ARRAY),
+    "match_batch": SpanOpCodec(**_PATTERNS, **_ARRAY),
+    "nm_per_traj": SpanOpCodec(**_CELLS, **_ARRAY),
+    "match_per_traj": SpanOpCodec(**_CELLS, **_ARRAY),
+    "singular_nm": SpanOpCodec(**_NO_PAYLOAD, **_TABLE),
+    "singular_match": SpanOpCodec(**_NO_PAYLOAD, **_TABLE),
+    "ext_tables": SpanOpCodec(
+        **_PATTERNS,
+        result_to_wire=lambda tables: [ext_tables_to_wire(t) for t in tables],
+        result_from_wire=lambda obj: [ext_tables_from_wire(t) for t in obj],
+    ),
+    "gap_nm": SpanOpCodec(
+        payload_to_wire=lambda pattern: {"pattern": gap_pattern_to_wire(pattern)},
+        payload_from_wire=lambda request: gap_pattern_from_wire(request.get("pattern")),
+        result_to_wire=float,
+        result_from_wire=float,
+    ),
+    "best_window": SpanOpCodec(
+        payload_to_wire=lambda cells_traj: {
+            "cells": [int(c) for c in cells_traj[0]],
+            "traj": int(cells_traj[1]),
+        },
+        payload_from_wire=lambda request: (
+            _cells_from_wire(request.get("cells")),
+            _traj_from_wire(request.get("traj")),
+        ),
+        result_to_wire=best_window_to_wire,
+        result_from_wire=best_window_from_wire,
+    ),
+    "stats": SpanOpCodec(
+        **_NO_PAYLOAD,
+        result_to_wire=lambda stats: [int(stats[0]), int(stats[1])],
+        result_from_wire=lambda obj: (int(obj[0]), int(obj[1])),
+    ),
+    "obs_snapshot": SpanOpCodec(
+        **_NO_PAYLOAD,
+        result_to_wire=lambda snapshot: snapshot,
+        result_from_wire=lambda obj: obj,
+    ),
+}
 
 
 # -- handshake helpers --------------------------------------------------------------

@@ -7,7 +7,11 @@ engine config, Prob-kernel tag -- all refused on mismatch, see
 :class:`~repro.core.engine.NMEngine` per assigned trajectory span.  The
 worker opens its **local** copy of the ``.tjc`` store and memory-maps the
 span -- the coordinator ships span coordinates, never data, so the wire
-cost of a mine is the op stream, not the dataset.
+cost of a mine is the op stream, not the dataset.  Every span op is
+decoded with :data:`repro.dist.wire.SPAN_OP_CODECS`, run through the
+shared op table (:func:`repro.core.parallel.run_span_op`) and encoded
+back; the session itself only checks the wire input and answers the
+session ops (``hello``, ``ping``, ``open``, ``close``, ``obs_drain``).
 
 Sessions are handled in their own threads, so a monitoring connection
 can ``ping`` while a coordinator session computes (numpy releases the
@@ -30,12 +34,9 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import kernels
 from repro.core.engine import NMEngine
-from repro.core.pattern import TrajectoryPattern
-from repro.core.wildcards import nm_gap_pattern
+from repro.core.parallel import run_span_op, span_meta
 from repro.dist import wire
 from repro.obs import logs, metrics, tracing
 from repro.serve.protocol import ProtocolError
@@ -257,70 +258,23 @@ class _Session:
         if op == "obs_drain":
             records = self.trace_sink.drain() if self.trace_sink is not None else []
             return wire.ok_response(rid, records=records)
-        # Everything else is span-scoped.
+        # Everything else is span-scoped: decode, one op-table call per
+        # span, encode.
         engines = self._span_engines(request)
+        codec = wire.SPAN_OP_CODECS[op]
+        payload = codec.payload_from_wire(request)
         if op == "best_window":
-            (span, engine), = engines  # single span by construction
-            cells = tuple(wire.patterns_from_wire([request.get("cells")])[0])
-            traj = request.get("traj")
-            if not isinstance(traj, int) or isinstance(traj, bool):
-                raise ProtocolError("traj must be an integer")
+            if len(engines) != 1:
+                raise ProtocolError("best_window addresses exactly one span")
+            (span, engine), = engines
+            traj = payload[1]
             if not 0 <= traj < len(engine.dataset):
                 raise ProtocolError(f"traj {traj} outside span {span}")
-            result = engine.best_window(TrajectoryPattern(cells), traj)
-            return wire.ok_response(rid, results=[wire.best_window_to_wire(result)])
-        results = [self._eval(op, request, engine) for _, engine in engines]
+        results = [
+            codec.result_to_wire(run_span_op(engine, op, payload))
+            for _span, engine in engines
+        ]
         return wire.ok_response(rid, results=results)
-
-    def _eval(self, op: str, request: dict, engine: NMEngine):
-        if op in ("nm_batch", "match_batch"):
-            patterns = [
-                TrajectoryPattern(cells)
-                for cells in wire.patterns_from_wire(request.get("patterns"))
-            ]
-            values = (
-                engine.nm_batch(patterns)
-                if op == "nm_batch"
-                else engine.match_batch(patterns)
-            )
-            return wire.array_to_wire(values)
-        if op in ("nm_per_traj", "match_per_traj"):
-            cells = tuple(wire.patterns_from_wire([request.get("cells")])[0])
-            pattern = TrajectoryPattern(cells)
-            values = (
-                engine.nm_per_trajectory(pattern)
-                if op == "nm_per_traj"
-                else engine.match_per_trajectory(pattern)
-            )
-            return wire.array_to_wire(values)
-        if op == "singular_nm":
-            return wire.table_to_wire(engine.singular_nm_table())
-        if op == "singular_match":
-            return wire.table_to_wire(engine.singular_match_table())
-        if op == "ext_tables":
-            patterns = [
-                TrajectoryPattern(cells)
-                for cells in wire.patterns_from_wire(request.get("patterns"))
-            ]
-            return [
-                wire.ext_tables_to_wire(t)
-                for t in engine.extension_tables_many(patterns)
-            ]
-        if op == "gap_nm":
-            pattern = wire.gap_pattern_from_wire(request.get("pattern"))
-            return float(nm_gap_pattern(engine, pattern))
-        if op == "stats":
-            return [int(engine.n_evaluations), int(engine.n_batches)]
-        if op == "obs_snapshot":
-            return {
-                "n_traj": len(engine.dataset),
-                "n_entries": int(engine.n_index_entries),
-                "n_evaluations": int(engine.n_evaluations),
-                "n_batches": int(engine.n_batches),
-                "backend": engine.backend_name,
-                "metrics": metrics.get_registry().snapshot(),
-            }
-        raise AssertionError(f"unreachable: op {op!r}")  # pragma: no cover
 
     # -- handshake / span management ---------------------------------------
 
@@ -386,16 +340,7 @@ class _Session:
             if (lo, hi) not in self.engines:
                 shard = self.store.span(lo, hi)
                 self.engines[(lo, hi)] = NMEngine(shard, self.grid, self.config)
-            engine = self.engines[(lo, hi)]
-            metas.append(
-                {
-                    "span": [lo, hi],
-                    "n_traj": len(engine.dataset),
-                    "n_entries": int(engine.n_index_entries),
-                    "active_cells": [int(c) for c in engine.active_cells],
-                    "backend": engine.backend_name,
-                }
-            )
+            metas.append({"span": [lo, hi], **span_meta(self.engines[(lo, hi)])})
         return wire.ok_response(rid, metas=metas)
 
     def _span_engines(self, request: dict) -> list[tuple[tuple[int, int], NMEngine]]:

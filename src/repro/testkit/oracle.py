@@ -402,15 +402,17 @@ def run_oracle(
         stream_path = work / "oracle-dataset.jsonl"
         save_dataset_jsonl(setup.dataset, stream_path)
         chunk_size = max(1, len(setup.dataset) // 3)
-        stream = StreamingNMEngine(stream_path, setup.grid, cfg, chunk_size=chunk_size)
-        checks.append(
-            check(
-                "streaming",
-                stream.nm_many(frontier),
-                stream.match_many(frontier),
-                detail=f"{stream.n_chunks_scanned} chunks",
+        with StreamingNMEngine(
+            stream_path, setup.grid, cfg, chunk_size=chunk_size
+        ) as stream:
+            checks.append(
+                check(
+                    "streaming",
+                    stream.nm_many(frontier),
+                    stream.match_batch(frontier),
+                    detail=f"{stream.n_chunks_scanned} chunks",
+                )
             )
-        )
 
         # Path 5b: incremental index maintenance.  Build over a prefix,
         # fold the remaining trajectories in as two report waves, evict the

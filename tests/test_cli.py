@@ -86,3 +86,97 @@ class TestConfigErrors:
             cli.main(["score", patterns, dataset, "--delta", "0.1", *flags])
         assert excinfo.value.code == 2
         assert f"score: error: {message}" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def bad_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cli-bad-files")
+        header = tmp / "bad-header.jsonl"
+        header.write_text('{"format": "something-else"}\n', encoding="utf-8")
+        listing = tmp / "list.json"
+        listing.write_text("[1, 2, 3]\n", encoding="utf-8")
+        garbage = tmp / "garbage.tjc"
+        garbage.write_bytes(bytes(range(256)) * 4)
+        footer = tmp / "bad-footer.tjc"
+        footer.write_bytes(b"TJC1\r\n\x1a\n" + b"\0" * 64)
+        return {
+            "header": str(header),
+            "list": str(listing),
+            "garbage": str(garbage),
+            "footer": str(footer),
+        }
+
+    def _exits_with_file_error(self, capsys, argv, path) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]}: error: {path}: " in err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("which", ["dataset", "list"])
+    def test_score_rejects_foreign_patterns_file(self, files, bad_files, capsys, which):
+        dataset, _ = files
+        foreign = dataset if which == "dataset" else bad_files["list"]
+        err = self._exits_with_file_error(
+            capsys, ["score", foreign, dataset, "--delta", "0.1"], foreign
+        )
+        assert "JSON document" in err or "mining-result" in err
+
+    def test_score_rejects_bad_jsonl_header(self, files, bad_files, capsys):
+        _, patterns = files
+        path = bad_files["header"]
+        err = self._exits_with_file_error(
+            capsys, ["score", patterns, path, "--delta", "0.1"], path
+        )
+        assert "not a repro trajectory file" in err
+
+    def test_mine_rejects_bad_jsonl_header(self, bad_files, capsys):
+        path = bad_files["header"]
+        err = self._exits_with_file_error(
+            capsys, ["mine", path, "--cell-size", "0.1"], path
+        )
+        assert "not a repro trajectory file" in err
+
+    @pytest.mark.parametrize("which", ["garbage", "footer"])
+    def test_mine_rejects_corrupt_store(self, bad_files, capsys, which):
+        path = bad_files[which]
+        self._exits_with_file_error(capsys, ["mine", path, "--cell-size", "0.1"], path)
+
+
+class TestDatasetFingerprint:
+    def test_mine_and_score_record_the_same_fingerprint(self, tmp_path):
+        import json
+
+        from repro.core import index_cache
+        from repro.testkit.datasets import seeded_dataset
+        from repro.trajectory.io import save_dataset_jsonl
+
+        data = seeded_dataset(3, n_trajectories=6, n_ticks=12)
+        dataset = tmp_path / "data.jsonl"
+        save_dataset_jsonl(data, dataset)
+        patterns = tmp_path / "patterns.json"
+        mine_manifest = tmp_path / "mine.manifest.json"
+        score_manifest = tmp_path / "score.manifest.json"
+        assert (
+            cli.main(
+                [
+                    "mine", str(dataset), "-k", "2", "--cell-size", "0.1",
+                    "--output", str(patterns),
+                    "--manifest-out", str(mine_manifest),
+                ]
+            )
+            == 0
+        )
+        assert (
+            cli.main(
+                [
+                    "score", str(patterns), str(dataset), "--delta", "0.1",
+                    "--manifest-out", str(score_manifest),
+                ]
+            )
+            == 0
+        )
+        mined = json.loads(mine_manifest.read_text())["dataset_fingerprint"]
+        scored = json.loads(score_manifest.read_text())["dataset_fingerprint"]
+        assert mined == scored == index_cache.dataset_fingerprint(data)

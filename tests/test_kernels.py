@@ -87,7 +87,7 @@ def test_resolved_instances_satisfy_protocol():
         inst = kernels.resolve_backend(backend, dtype)
         assert isinstance(inst, kernels.KernelBackend)
         assert np.dtype(inst.dtype) == np.dtype(dtype)
-        assert inst.name in ("numpy", "numba", "cnative")
+        assert inst.name in ("numpy", "cnative")
 
 
 def test_forced_none_disables_compiled(monkeypatch, caplog):
@@ -192,7 +192,7 @@ def test_compiled_own_index_close(small_dataset, dtype):
     _require_compiled()
     ref = _engine(small_dataset)
     eng = _engine(small_dataset, backend="compiled", dtype=dtype)
-    assert eng.backend_name in ("numba", "cnative")
+    assert eng.backend_name == "cnative"
     assert eng.backend_dtype == dtype
     patterns = _candidates(ref)
     rtol = 1e-12 if dtype == "float64" else 1e-4
@@ -361,7 +361,7 @@ def test_parallel_engine_reports_backend(small_dataset):
         small_dataset, grid, EngineConfig(**BASE, backend="auto"), jobs=2
     )
     try:
-        assert engine.backend_name in ("numpy", "numba", "cnative")
+        assert engine.backend_name in ("numpy", "cnative")
         assert engine.backend_dtype == "float64"
         snap = engine.obs_snapshot()
         assert snap["backend"] == engine.backend_name

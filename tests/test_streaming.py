@@ -1,5 +1,7 @@
 """Tests for the out-of-core streaming engine (section 4.4's space claim)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.streaming import StreamingNMEngine
 from repro.core.trajpattern import TrajPatternMiner
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.io import save_dataset_jsonl
+from tests.conftest import assert_no_engine_leftovers
 
 
 @pytest.fixture
@@ -108,3 +111,56 @@ class TestVerifyTopK:
         streaming = StreamingNMEngine(path, engine.grid, engine.config)
         with pytest.raises(ValueError):
             streaming.verify_top_k([TrajectoryPattern((0,))], k=0)
+
+
+class TestTemporaryStore:
+    """A JSONL input streams from a temporary store that never outlives the engine."""
+
+    def _patterns(self, engine):
+        return [TrajectoryPattern((c,)) for c in engine.active_cells[:3]]
+
+    def test_removed_by_close(self, stored):
+        path, engine = stored
+        streaming = StreamingNMEngine(path, engine.grid, engine.config, chunk_size=5)
+        assert Path(streaming.spill_path).exists()
+        streaming.nm_many(self._patterns(engine))
+        streaming.close()
+        streaming.close()  # idempotent
+        assert_no_engine_leftovers()
+        with pytest.raises(RuntimeError, match="closed"):
+            streaming.nm_many(self._patterns(engine))
+
+    def test_removed_by_with_block(self, stored):
+        path, engine = stored
+        with StreamingNMEngine(path, engine.grid, engine.config) as streaming:
+            values = streaming.nm_many(self._patterns(engine))
+        assert np.array_equal(values, engine.nm_batch(self._patterns(engine)))
+        assert_no_engine_leftovers()
+
+    def test_removed_when_conversion_fails_mid_file(self, stored, tmp_path):
+        path, engine = stored
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken = tmp_path / "broken.jsonl"
+        middle = len(lines) // 2
+        broken.write_text(
+            "".join(lines[:middle] + ["{not json\n"] + lines[middle:]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=f"{broken}:{middle + 1}: not JSON"):
+            StreamingNMEngine(broken, engine.grid, engine.config)
+        assert_no_engine_leftovers()
+
+    def test_store_input_needs_no_temporary_store(self, stored, tmp_path):
+        from repro.core import index_cache
+        from repro.storage import write_store
+
+        path, engine = stored
+        store = write_store(engine.dataset, tmp_path / "data.tjc")
+        with StreamingNMEngine(store, engine.grid, engine.config) as from_store:
+            assert from_store.spill_path is None
+        with StreamingNMEngine(path, engine.grid, engine.config) as from_jsonl:
+            # The lossless temporary store hashes like the dataset itself.
+            assert from_jsonl.content_hash == from_store.content_hash
+            assert from_jsonl.content_hash == index_cache.dataset_fingerprint(
+                engine.dataset
+            )

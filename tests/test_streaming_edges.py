@@ -102,7 +102,7 @@ class TestBoundaryEquivalence:
         patterns = _patterns(engine)
         streaming = StreamingNMEngine(path, grid, config, chunk_size=chunk_size)
         np.testing.assert_allclose(
-            streaming.match_many(patterns), engine.match_batch(patterns), rtol=1e-12
+            streaming.match_batch(patterns), engine.match_batch(patterns), rtol=1e-12
         )
 
     def test_singular_table_at_exact_multiple(self, scenario):

@@ -45,9 +45,9 @@ def test_store_matches_jsonl_streaming(paths, geometry, chunk_size):
     grid, config, patterns = geometry
     a = StreamingNMEngine(jsonl, grid, config, chunk_size=chunk_size)
     b = StreamingNMEngine(store, grid, config, chunk_size=chunk_size)
-    assert not a.store_backed and b.store_backed
+    assert a.spill_path is not None and b.spill_path is None
     assert np.array_equal(a.nm_many(patterns), b.nm_many(patterns))
-    assert np.array_equal(a.match_many(patterns), b.match_many(patterns))
+    assert np.array_equal(a.match_batch(patterns), b.match_batch(patterns))
     assert a.n_chunks_scanned == b.n_chunks_scanned
 
 
