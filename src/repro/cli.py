@@ -283,9 +283,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     from repro.core.engine import NMEngine
     from repro.core.parameters import suggest_parameters
     from repro.core.results_io import save_mining_result
-    from repro.core.trajpattern import TrajPatternMiner
+    from repro.core.trajpattern import TrajPatternMiner, check_parameters
     from repro.obs import manifest as obs_manifest
     from repro.obs import tracing
+
+    try:
+        check_parameters(args.k, args.min_length, args.max_length)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
     manifest_out = _resolve_manifest(args.manifest_out, args.output)
     _obs_setup(args, manifest_out)
@@ -534,6 +539,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         SnapshotStore,
     )
 
+    ingest = None
+    if args.ingest:
+        try:
+            ingest = IngestConfig(
+                k=args.ingest_k,
+                remine_every=args.ingest_every,
+                window=args.ingest_window,
+                min_length=args.ingest_min_length,
+            )
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     obs.configure(
         log_level=args.log_level,
         trace_out=args.trace_out,
@@ -569,14 +585,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         allow_shutdown=not args.no_shutdown,
         cache_dir=args.cache_dir,
     )
-    ingest = None
-    if args.ingest:
-        ingest = IngestConfig(
-            k=args.ingest_k,
-            remine_every=args.ingest_every,
-            window=args.ingest_window,
-            min_length=args.ingest_min_length,
-        )
 
     async def run() -> None:
         server = PatternServer(SnapshotStore(snapshot), config, ingest=ingest)

@@ -15,7 +15,9 @@ this module maintains the index without either cost:
   Because rows are assigned in dataset order, the expired snapshots are
   exactly a prefix of the global row space: the inverse of the merge is a
   mask-and-renumber (``rows >= cutoff`` keep, then ``rows - cutoff``),
-  which again yields presorted arrays.
+  which again yields presorted arrays.  A windowed append does both in one
+  pass -- drop the expired prefix, merge the delta at the renumbered
+  offset -- and installs the index once.
 
 Both operations are bit-identical to a from-scratch build over the
 surviving trajectories (the oracle's ``incremental`` path and a hypothesis
@@ -162,28 +164,46 @@ class IncrementalIndexer:
     def append(
         self, trajectories: Iterable[UncertainTrajectory]
     ) -> dict[str, int | float]:
-        """Fold new trajectories into the live index; returns fold stats."""
+        """Fold new trajectories into the live index; returns fold stats.
+
+        With a window, the expired oldest rows are dropped and the delta is
+        merged in the same pass, so a fold installs the index once.
+        """
         new = list(trajectories)
         if not new:
             return self._stats(appended=0, evicted=0)
         started = time.perf_counter()
         engine = self.engine
-        old_dataset = engine.dataset
-        row_offset = old_dataset.total_snapshots()
-        delta = collect_delta_entries(new, engine.grid, engine.config, row_offset)
-        merged_dataset = TrajectoryDataset(
-            list(old_dataset) + new, metadata=old_dataset.metadata
-        )
-        merged = merge_sorted_entries(
-            engine.index_arrays(), delta, merged_dataset.total_snapshots()
-        )
-        engine.replace_index(merged_dataset, *merged)
-        self.appends += 1
-        self.rows_appended += merged_dataset.total_snapshots() - row_offset
+        old = list(engine.dataset)
+        combined = old + new
         evicted = 0
-        if self.window is not None and len(merged_dataset) > self.window:
-            evicted = len(merged_dataset) - self.window
-            self.evict(evicted)
+        if self.window is not None and len(combined) > self.window:
+            evicted = len(combined) - self.window
+        survivors = TrajectoryDataset(
+            combined[evicted:], metadata=engine.dataset.metadata
+        )
+        new_rows = TrajectoryDataset(new).total_snapshots()
+        expired_rows = int(sum(len(t) for t in combined[:evicted]))
+        if evicted < len(old):
+            # Expire the prefix of the old rows, then splice the delta in
+            # behind the renumbered survivors.
+            old_rows = engine.dataset.total_snapshots()
+            base = drop_leading_rows(engine.index_arrays(), expired_rows)
+            delta = collect_delta_entries(
+                new, engine.grid, engine.config, old_rows - expired_rows
+            )
+            entries = merge_sorted_entries(base, delta, survivors.total_snapshots())
+        else:
+            # The delta outgrows the window: only new trajectories survive.
+            entries = collect_delta_entries(
+                list(survivors), engine.grid, engine.config, 0
+            )
+        engine.replace_index(survivors, *entries)
+        self.appends += 1
+        self.rows_appended += new_rows
+        if evicted:
+            self.evictions += 1
+            self.rows_evicted += expired_rows
         self.last_fold_s = time.perf_counter() - started
         return self._stats(appended=len(new), evicted=evicted)
 

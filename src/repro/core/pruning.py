@@ -9,36 +9,52 @@ discarded from ``Q`` without losing completeness.
 Definition 5: a ``j``-pattern (``j > 1``) satisfies the 1-extension property
 iff the ``(j-1)``-pattern obtained by deleting its first or last position is
 a high pattern; every 1-pattern satisfies it unconditionally.
+
+Both checks run on whole length buckets of the columnar
+:class:`~repro.core.topk.PatternBook`: a row's prefix and suffix keys are
+looked up in the sorted keys of the high patterns one cell shorter.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
-Cells = tuple[int, ...]
+from repro.core.topk import PatternSet, cells_from_keys, fits_int64, member, row_keys
 
 
-def satisfies_one_extension(cells: Cells, high: set[Cells] | dict[Cells, float]) -> bool:
-    """Definition 5 against the given set of high patterns."""
-    if len(cells) == 1:
-        return True
-    return cells[1:] in high or cells[:-1] in high
+def one_extension_mask(length: int, keys: np.ndarray, high: PatternSet) -> np.ndarray:
+    """Definition 5 for ``length``-patterns given by row keys, against ``high``.
+
+    ``keys`` must use ``high.radix`` (both come from one book).
+    """
+    if length == 1:
+        return np.ones(len(keys), dtype=bool)
+    high_keys = high.keys(length - 1)
+    if not len(high_keys):
+        return np.zeros(len(keys), dtype=bool)
+    radix = high.radix
+    if fits_int64(radix, length):
+        prefix = keys // radix
+        suffix = keys % np.int64(radix ** (length - 1))
+    else:
+        cells = cells_from_keys(keys, length, radix)
+        prefix = row_keys(cells[:, :-1], radix)
+        suffix = row_keys(cells[:, 1:], radix)
+    return member(high_keys, prefix) | member(high_keys, suffix)
 
 
 def prune_low_patterns(
-    low: Iterable[Cells], high: set[Cells] | dict[Cells, float]
-) -> tuple[list[Cells], list[Cells]]:
+    low: PatternSet, high: PatternSet
+) -> tuple[PatternSet, PatternSet]:
     """Partition low patterns into (kept 1-extension patterns, pruned rest).
 
-    The caller removes the pruned ones from ``Q``; their scores stay cached
-    in the :class:`~repro.core.topk.PatternBook` so a later regeneration is
-    free.
+    The caller removes the pruned ones from ``Q``; their exact scores stay
+    cached in the :class:`~repro.core.topk.PatternBook` so a later
+    regeneration is free.
     """
-    kept: list[Cells] = []
-    pruned: list[Cells] = []
-    for cells in low:
-        if satisfies_one_extension(cells, high):
-            kept.append(cells)
-        else:
-            pruned.append(cells)
-    return kept, pruned
+    kept, pruned = {}, {}
+    for length, rows in low.by_length.items():
+        ok = one_extension_mask(length, rows.keys, high)
+        kept[length] = rows.take(ok)
+        pruned[length] = rows.take(~ok)
+    return PatternSet(kept, low.radix), PatternSet(pruned, low.radix)

@@ -37,6 +37,15 @@ partner lists.  Discarded combinations are regenerated automatically if an
 end sub-pattern later turns high (every 1-extension of a high pattern is
 re-emitted each iteration the pattern stays high).
 
+The control plane is columnar (see :mod:`repro.core.topk`): one iteration
+is a few array passes, not a loop per candidate.  Extensions are emitted by
+broadcasting high-pattern row keys against partner row keys, in the order
+of the paper's loop (high patterns best first, each one's singular
+extensions, then its partners best first, right extension before left).
+Duplicates are dropped by first occurrence (``np.unique(...,
+return_index=True)``), so a candidate reachable from several
+decompositions keeps the bound of the first one the loop meets.
+
 Both pruning mechanisms are independently switchable for the ablation
 benchmarks: ``use_extension_pruning`` (section 4.1) and
 ``use_bound_pruning`` (above; disabling it reproduces the paper's literal
@@ -54,28 +63,59 @@ Observability: :class:`MinerStats` keeps its evaluation bookkeeping on a
 private always-enabled :class:`~repro.obs.metrics.MetricsRegistry`
 (``stats.metrics``) -- ``eval_batches`` / ``max_batch_size`` /
 ``eval_time_s`` are thin read-only views over it -- and the run is folded
-into the process-global registry when mining finishes.  Each main-loop
-round runs inside a ``miner.iteration`` span, candidate scoring inside
-``miner.evaluate``, and convergence / pruning decisions are logged on the
-``repro.miner`` logger.
+into the process-global registry when mining finishes.  The same registry
+times the loop's phases (:data:`PHASES`: candidate generation, 1-extension
+pruning, partner sets, evaluation, top-k maintenance); they add up to
+nearly all of ``wall_time_s``.  Each main-loop round runs inside a
+``miner.iteration`` span with one child span per phase (candidate scoring
+is ``miner.evaluate``), and convergence / pruning decisions are logged on
+the ``repro.miner`` logger.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from repro.core.engine import NMEngine
 from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.pattern import TrajectoryPattern
-from repro.core.pruning import prune_low_patterns, satisfies_one_extension
-from repro.core.topk import Cells, PatternBook, sort_key
+from repro.core.pruning import one_extension_mask, prune_low_patterns
+from repro.core.topk import (
+    Cells,
+    PatternBook,
+    PatternRows,
+    PatternSet,
+    cells_from_keys,
+    fits_int64,
+    member,
+    row_keys,
+)
 from repro.obs import logs, metrics, tracing
 from repro.obs.metrics import MetricsRegistry
 
 _log = logs.get_logger("miner")
+
+#: The mining loop's phases, each timed on ``MinerStats.metrics`` as
+#: ``miner.<phase>_ns`` (evaluation keeps its historical ``miner.eval_ns``).
+PHASES = ("generate", "prune_1ext", "partners", "evaluate", "topk")
+
+
+def _phase_timer(phase: str) -> str:
+    return "miner.eval_ns" if phase == "evaluate" else f"miner.{phase}_ns"
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], ...``"""
+    out = np.empty((len(a), 2), dtype=a.dtype)
+    out[:, 0] = a
+    out[:, 1] = b
+    return out.ravel()
 
 
 @dataclass
@@ -110,7 +150,9 @@ class MinerStats:
     thin view over it: ``eval_batches`` counts calls into the engine's
     batched evaluation, ``max_batch_size`` is the largest candidate batch
     scored in one call, and ``eval_time_s`` the total wall time spent
-    inside candidate evaluation (a subset of ``wall_time_s``).
+    inside candidate evaluation (a subset of ``wall_time_s``).  The other
+    phases of :data:`PHASES` have the same kind of view
+    (``generate_time_s`` ... ``topk_time_s``).
     """
 
     iterations: int = 0
@@ -140,10 +182,34 @@ class MinerStats:
         histogram = self.metrics.histogram("miner.batch_size")
         return int(histogram.max) if histogram.count else 0
 
+    def phase_time_s(self, phase: str) -> float:
+        """Total wall time of one of :data:`PHASES`, in seconds."""
+        return self.metrics.histogram(_phase_timer(phase), unit="ns").total_seconds
+
     @property
     def eval_time_s(self) -> float:
         """Total wall time inside candidate evaluation, in seconds."""
-        return self.metrics.histogram("miner.eval_ns", unit="ns").total_seconds
+        return self.phase_time_s("evaluate")
+
+    @property
+    def generate_time_s(self) -> float:
+        """Candidate emission, deduplication and classification."""
+        return self.phase_time_s("generate")
+
+    @property
+    def prune_1ext_time_s(self) -> float:
+        """1-extension pruning of the low patterns (section 4.1)."""
+        return self.phase_time_s("prune_1ext")
+
+    @property
+    def partners_time_s(self) -> float:
+        """Partner lists and the relevant-partner convergence check."""
+        return self.phase_time_s("partners")
+
+    @property
+    def topk_time_s(self) -> float:
+        """Book maintenance: inserting scores, ``omega``, the split, the answer."""
+        return self.phase_time_s("topk")
 
 
 @dataclass(frozen=True)
@@ -191,6 +257,20 @@ class MiningResult:
         return sum(len(p) for p in self.patterns) / len(self.patterns)
 
 
+def check_parameters(
+    k: int, min_length: int = 1, max_length: int | None = None, max_iterations: int = 64
+) -> None:
+    """Raise ``ValueError`` for parameters :class:`TrajPatternMiner` refuses."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if min_length < 1:
+        raise ValueError("min_length must be at least 1")
+    if max_length is not None and max_length < min_length:
+        raise ValueError("max_length must be >= min_length")
+    if max_iterations <= 0:
+        raise ValueError("max_iterations must be positive")
+
+
 class TrajPatternMiner:
     """Top-k NM pattern miner (the paper's TrajPattern algorithm).
 
@@ -230,14 +310,7 @@ class TrajPatternMiner:
         max_iterations: int = 64,
         warm_state: WarmStartState | None = None,
     ) -> None:
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if min_length < 1:
-            raise ValueError("min_length must be at least 1")
-        if max_length is not None and max_length < min_length:
-            raise ValueError("max_length must be >= min_length")
-        if max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        check_parameters(k, min_length, max_length, max_iterations)
         self.engine = engine
         self.k = k
         self.min_length = min_length
@@ -279,6 +352,12 @@ class TrajPatternMiner:
         metrics.get_registry().merge(result.stats.metrics)
         return result
 
+    @contextmanager
+    def _phase(self, stats: MinerStats, phase: str) -> Iterator[None]:
+        """Time one phase of :data:`PHASES` and trace it as ``miner.<phase>``."""
+        with tracing.span(f"miner.{phase}"), stats.metrics.timer(_phase_timer(phase)):
+            yield
+
     def _mine(self, discover_groups: bool, gamma: float | None) -> MiningResult:
         stats = MinerStats()
         t0 = time.perf_counter()
@@ -288,27 +367,32 @@ class TrajPatternMiner:
         # Seeding: all singular patterns over the active alphabet.  Inactive
         # cells all tie at the floor NM and can never displace an active
         # cell from the top-k, so they are not materialised (DESIGN.md 4.3).
-        singular_table = sorted(self.engine.singular_nm_table().items())
-        for cell, nm in singular_table:
-            book.insert_exact((cell,), nm)
-            stats.candidates_evaluated += 1
-        if len(book) == 0:
+        with stats.metrics.timer(_phase_timer("evaluate")):
+            table = self.engine.singular_nm_table()
+        if not table:
             raise ValueError(
                 "no active grid cells: the grid does not overlap the dataset"
             )
-        self._singulars: list[tuple[Cells, float]] = [
-            ((cell,), nm) for cell, nm in singular_table
-        ]
-        # High patterns whose singular extensions were already emitted; the
-        # singular alphabet is static, so this never needs redoing.
-        self._singular_extended: set[Cells] = set()
+        with self._phase(stats, "topk"):
+            cells = np.array(sorted(table), dtype=np.int64)
+            values = np.array([table[c] for c in cells.tolist()], dtype=np.float64)
+            book.insert_exact(cells[:, None], values)
+            stats.candidates_evaluated += len(cells)
+        # Singular extension partners, in cell order (a length-1 row key
+        # is the cell id under any radix).
+        self._singulars = PatternRows(cells, values)
+        # Keys (per length) of the high patterns whose singular extensions
+        # were already emitted; the alphabet is static, so this never
+        # needs redoing.
+        self._singular_extended: dict[int, np.ndarray] = {}
 
         if self.min_length > 1:
             self._warm_start(book, stats)
         if self.warm_state is not None:
             self._seed_warm_state(book, stats)
-        book.update_omega()
-        high = book.high_patterns()
+        with self._phase(stats, "topk"):
+            book.update_omega()
+            high = book.high_patterns()
 
         # Convergence needs more than a stable high set: a low added to Q in
         # the last iteration is a brand-new extension partner (the min-max
@@ -320,7 +404,8 @@ class TrajPatternMiner:
         # set and that *relevant* partner set both stop changing.  (Full Q
         # stability would also be correct but ruins termination in the
         # no-pruning ablation modes, where junk lows accumulate forever.)
-        prev_partners = self._relevant_partners(book, high)
+        with self._phase(stats, "partners"):
+            prev_partners = self._relevant_partners(book, high)
         converged = False
         for _ in range(self.max_iterations):
             stats.iterations += 1
@@ -331,19 +416,29 @@ class TrajPatternMiner:
                 "miner.iteration", iteration=stats.iterations
             ) as it_span:
                 new_high = self._iterate(book, high, stats)
-                it_span.set_attr("omega", book.omega)
-                it_span.set_attr("n_high", len(new_high))
-            trace = IterationTrace(
-                iteration=stats.iterations,
-                omega=book.omega,
-                n_high=len(new_high),
-                n_exact=book.n_exact,
-                n_bounded=book.n_bounded,
-                candidates_evaluated=stats.candidates_evaluated - evaluated_before,
-                patterns_pruned=stats.patterns_pruned - pruned_before,
-                batch_size=stats.candidates_evaluated - evaluated_before,
-                eval_time_s=stats.eval_time_s - eval_time_before,
-            )
+                with self._phase(stats, "partners"):
+                    # After 1-extension pruning every surviving low
+                    # satisfies the property, so all of Q is relevant.
+                    partners = (
+                        book.membership()
+                        if self.use_extension_pruning
+                        else self._relevant_partners(book, new_high)
+                    )
+                with self._phase(stats, "topk"):
+                    trace = IterationTrace(
+                        iteration=stats.iterations,
+                        omega=book.omega,
+                        n_high=len(new_high),
+                        n_exact=book.n_exact,
+                        n_bounded=book.n_bounded,
+                        candidates_evaluated=stats.candidates_evaluated
+                        - evaluated_before,
+                        patterns_pruned=stats.patterns_pruned - pruned_before,
+                        batch_size=stats.candidates_evaluated - evaluated_before,
+                        eval_time_s=stats.eval_time_s - eval_time_before,
+                    )
+                it_span.set_attr("omega", trace.omega)
+                it_span.set_attr("n_high", trace.n_high)
             stats.trace.append(trace)
             _log.debug(
                 "miner iteration",
@@ -355,15 +450,27 @@ class TrajPatternMiner:
                     "patterns_pruned": trace.patterns_pruned,
                 },
             )
-            partners = self._relevant_partners(book, new_high)
-            if partners == prev_partners and set(new_high) == set(high):
+            if partners == prev_partners and new_high == high:
                 high = new_high
                 converged = True
                 break
             prev_partners = partners
             high = new_high
 
-        stats.final_q_size = len(book)
+        with self._phase(stats, "topk"):
+            stats.final_q_size = len(book)
+            top = book.top_k()
+            # Export the converged frontier so a follow-up run over a
+            # lightly-changed dataset can seed from it instead of
+            # rediscovering the threshold.  Only the patterns that *set* the
+            # threshold are worth carrying: the high set and the answer
+            # itself -- evaluating them exactly starts the next run's omega
+            # at (about) this run's k-th best.  Anything broader backfires:
+            # the bounded membership runs to tens of thousands of
+            # never-promoted candidates on large alphabets, and
+            # re-evaluating those costs more than a cold run.
+            frontier = set(high) | {c for c, _ in top}
+            warm_seeds = tuple(sorted(c for c in frontier if len(c) >= 2))
         stats.wall_time_s = time.perf_counter() - t0
         _log.info(
             "mining finished",
@@ -378,7 +485,6 @@ class TrajPatternMiner:
             },
         )
 
-        top = book.top_k()
         patterns = [TrajectoryPattern(cells) for cells, _ in top]
         nm_values = [nm for _, nm in top]
         groups = None
@@ -386,18 +492,6 @@ class TrajPatternMiner:
             if gamma is None:
                 gamma = 3.0 * self.engine.dataset.max_sigma()
             groups = discover_pattern_groups(patterns, self.engine.grid, gamma)
-        # Export the converged frontier so a follow-up run over a
-        # lightly-changed dataset can seed from it instead of rediscovering
-        # the threshold.  Only the patterns that *set* the threshold are
-        # worth carrying: the high set and the answer itself -- evaluating
-        # them exactly starts the next run's omega at (about) this run's
-        # k-th best.  Anything broader backfires: the bounded membership
-        # runs to tens of thousands of never-promoted candidates on large
-        # alphabets, and re-evaluating those costs more than a cold run.
-        frontier = set(high) | {c for c, _ in top}
-        warm_seeds = tuple(
-            sorted(cells for cells in frontier if len(cells) >= 2)
-        )
         return MiningResult(
             patterns=patterns,
             nm_values=nm_values,
@@ -424,21 +518,26 @@ class TrajPatternMiner:
         the final answer is unchanged; only the amount of provably-useless
         evaluation shrinks.
         """
-        grid = self.engine.grid
         length = self.min_length
-        counts: dict[Cells, int] = {}
-        for traj in self.engine.dataset:
-            cells = tuple(int(c) for c in grid.locate_many(traj.means))
-            for i in range(len(cells) - length + 1):
-                gram = cells[i : i + length]
-                counts[gram] = counts.get(gram, 0) + 1
-        frequent = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        seeds = [
-            gram
-            for gram, _ in frequent[: self.WARM_START_CAP]
-            if not book.is_evaluated(gram)
-        ]
-        self._evaluate_batch(book, seeds, stats)
+        with self._phase(stats, "generate"):
+            grid = self.engine.grid
+            windows = [
+                np.lib.stride_tricks.sliding_window_view(cells, length)
+                for cells in (
+                    np.asarray(grid.locate_many(traj.means), dtype=np.int64)
+                    for traj in self.engine.dataset
+                )
+                if len(cells) >= length
+            ]
+            if not windows:
+                return
+            # Most frequent first, ties in cell order (np.unique sorts rows).
+            grams, counts = np.unique(
+                np.concatenate(windows), axis=0, return_counts=True
+            )
+            grams = grams[np.argsort(-counts, kind="stable")[: self.WARM_START_CAP]]
+            batch = book.encode(grams[~book.is_evaluated(grams)])
+        self._evaluate_batch(book, [batch], stats)
 
     def _seed_warm_state(self, book: PatternBook, stats: MinerStats) -> None:
         """Evaluate the previous run's frontier exactly as mining seeds.
@@ -448,21 +547,23 @@ class TrajPatternMiner:
         nothing, so the mined top-k is identical to a cold run (the
         ``incremental`` oracle path pins warm == cold exactly).
         """
-        seeds = [
-            tuple(int(c) for c in cells)
-            for cells in self.warm_state.seeds
-            if len(cells) >= 2
-            and (self.max_length is None or len(cells) <= self.max_length)
-        ]
-        seeds = [cells for cells in seeds if not book.is_evaluated(cells)]
-        self._evaluate_batch(book, seeds, stats)
+        by_length: dict[int, list[Cells]] = {}
+        for cells in self.warm_state.seeds:
+            if len(cells) >= 2 and (
+                self.max_length is None or len(cells) <= self.max_length
+            ):
+                by_length.setdefault(len(cells), []).append(cells)
+        with self._phase(stats, "generate"):
+            batches = []
+            for _, seeds in sorted(by_length.items()):
+                cells = np.array(seeds, dtype=np.int64)
+                batches.append(book.encode(cells[~book.is_evaluated(cells)]))
+        self._evaluate_batch(book, batches, stats)
 
     # -- convergence ------------------------------------------------------------------
 
     @staticmethod
-    def _relevant_partners(
-        book: PatternBook, high: dict[Cells, float]
-    ) -> frozenset[Cells]:
+    def _relevant_partners(book: PatternBook, high: PatternSet) -> PatternSet:
         """The active patterns that can still seed new candidates (Lemma 1).
 
         Every answer pattern is an extension of a high pattern by a high
@@ -471,130 +572,245 @@ class TrajPatternMiner:
         the property may stay in ``Q`` (when extension pruning is off)
         without keeping the loop alive.
         """
-        exact, bounded = book.membership()
-        return frozenset(
-            cells
-            for cells in exact | bounded
-            if cells in high or satisfies_one_extension(cells, high)
+        active = book.membership()
+        return PatternSet(
+            {
+                length: rows.take(
+                    member(high.keys(length), rows.keys)
+                    | one_extension_mask(length, rows.keys, high)
+                )
+                for length, rows in active.by_length.items()
+            },
+            active.radix,
         )
 
     # -- one iteration of the main loop ---------------------------------------------
 
     def _iterate(
-        self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
-    ) -> dict[Cells, float]:
-        to_evaluate, to_bound = self._generate_candidates(book, high, stats)
+        self, book: PatternBook, high: PatternSet, stats: MinerStats
+    ) -> PatternSet:
+        with self._phase(stats, "partners"):
+            partners = book.partners_by_length(self._partner_floor(book, high))
+        with self._phase(stats, "generate"):
+            to_evaluate = self._generate_candidates(book, high, partners, stats)
         self._evaluate_batch(book, to_evaluate, stats)
-        for cells, bound in to_bound:
-            book.insert_bounded(cells, bound)
-            stats.candidates_bounded += 1
 
-        book.update_omega()
-        new_high = book.high_patterns()
+        with self._phase(stats, "topk"):
+            book.update_omega()
+            new_high = book.high_patterns()
 
         if self.use_extension_pruning:
-            low = book.low_patterns()
-            _, pruned = prune_low_patterns(low.keys(), new_high)
-            for cells in pruned:
-                book.remove(cells)
-            stats.patterns_pruned += len(pruned)
+            with self._phase(stats, "prune_1ext"):
+                _, pruned = prune_low_patterns(book.low_patterns(), new_high)
+                for length, rows in pruned.by_length.items():
+                    book.set_active(length, rows.keys, False)
+                stats.patterns_pruned += len(pruned)
         return new_high
 
+    def _partner_floor(self, book: PatternBook, high: PatternSet) -> float:
+        """A value below which no pattern can be a useful extension partner.
+
+        A high ``i``-pattern valued ``v`` needs ``j``-partners valued at
+        least ``tau = omega - (i / j) (v - omega)``, lowest at ``j = 2``.
+        The margin keeps the floor below every rounded ``tau``.
+        """
+        omega = book.omega
+        if not self.use_bound_pruning or math.isinf(omega) or not len(high):
+            return -math.inf
+        floor = min(
+            float((((i + 2) * omega - i * rows.values) / 2).min())
+            for i, rows in high.by_length.items()
+        )
+        return floor - 1e-9 * (abs(floor) + 1.0)
+
     def _evaluate_batch(
-        self, book: PatternBook, to_evaluate: list[Cells], stats: MinerStats
+        self,
+        book: PatternBook,
+        batches: list[tuple[int, np.ndarray]],
+        stats: MinerStats,
     ) -> None:
-        """Score a candidate list through the engine's batched path."""
-        if not to_evaluate:
+        """Score ``(length, row keys)`` batches, in order, through the engine."""
+        with self._phase(stats, "generate"):
+            batches = [(length, keys) for length, keys in batches if len(keys)]
+            patterns = [
+                TrajectoryPattern(cells)
+                for length, keys in batches
+                for cells in cells_from_keys(keys, length, book.radix).tolist()
+            ]
+        if not patterns:
             return
         if self._engine_epoch is not None:
             self.engine.require_epoch(self._engine_epoch)
-        with tracing.span("miner.evaluate", n_candidates=len(to_evaluate)):
-            with stats.metrics.timer("miner.eval_ns"):
-                nm_values = self.engine.nm_batch(
-                    [TrajectoryPattern(cells) for cells in to_evaluate]
-                )
+        with tracing.span("miner.evaluate", n_candidates=len(patterns)):
+            with stats.metrics.timer(_phase_timer("evaluate")):
+                nm_values = self.engine.nm_batch(patterns)
         stats.metrics.counter("miner.eval_batches").inc()
-        stats.metrics.histogram("miner.batch_size").observe(len(to_evaluate))
-        for cells, nm in zip(to_evaluate, nm_values):
-            book.insert_exact(cells, float(nm))
-            stats.candidates_evaluated += 1
+        stats.metrics.histogram("miner.batch_size").observe(len(patterns))
+        with self._phase(stats, "topk"):
+            start = 0
+            for length, keys in batches:
+                book.insert(length, keys, nm_values[start : start + len(keys)], exact=True)
+                start += len(keys)
+            stats.candidates_evaluated += len(patterns)
 
     # -- candidate generation -------------------------------------------------------
 
     def _generate_candidates(
-        self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
-    ) -> tuple[list[Cells], list[tuple[Cells, float]]]:
+        self,
+        book: PatternBook,
+        high: PatternSet,
+        partners: dict[int, PatternRows],
+        stats: MinerStats,
+    ) -> list[tuple[int, np.ndarray]]:
         """Both-sided extensions of high patterns by patterns in ``Q``.
 
-        Returns (candidates to evaluate exactly, provably-low candidates to
-        insert with their upper bound).
+        Provably-low candidates satisfying the 1-extension property go into
+        the book with their upper bound, cached exact scores are
+        reactivated, and the rest -- the candidates to evaluate exactly --
+        are returned as ``(length, row keys)`` per length, in
+        first-occurrence order.
+
+        The emission order is the paper's loop: high patterns by
+        :func:`~repro.core.topk.sort_key`; for each, (a) its extensions by
+        every singular pattern in cell order, once per run, then (b) its
+        extensions by longer partners, best first, stopping where the
+        concatenation bound drops below ``omega`` -- right extension before
+        left each time.  Only same-length emissions can collide, and two
+        emissions of one length come from different high patterns or from
+        one block, so ``rank * stride + 2 * index + side`` orders them.
         """
+        if not len(high):
+            return []
         omega = book.omega
         exhaustive = not self.use_bound_pruning or math.isinf(omega)
-        seen: set[Cells] = set()
-        to_evaluate: list[Cells] = []
-        to_bound: list[tuple[Cells, float]] = []
+        radix = book.radix
+        sources = {1: self._singulars}
+        sources.update((j, rows) for j, rows in partners.items() if j >= 2)
+        stride = 2 * max(len(rows.keys) for rows in sources.values())
 
-        def handle(cells: Cells, bound: float) -> None:
-            if cells in seen:
-                return
-            seen.add(cells)
-            stats.candidates_generated += 1
-            if self.max_length is not None and len(cells) > self.max_length:
-                return
-            if cells in book:
-                return
-            if book.is_evaluated(cells):
-                # Previously pruned exact pattern; restore the cached score
-                # so the 1-extension re-check sees it again.
-                book.reactivate(cells)
-                stats.candidates_cached += 1
-                return
-            if exhaustive or bound >= omega:
-                to_evaluate.append(cells)
-            elif satisfies_one_extension(cells, high):
-                to_bound.append((cells, bound))
+        # High patterns in sort_key order (-NM, length, cells): row r of
+        # these arrays has rank r.  Bucket rows are already in cell order.
+        lengths = sorted(high.by_length)
+        sizes = [len(high.by_length[i].keys) for i in lengths]
+        h_len = np.repeat(lengths, sizes)
+        h_pos = np.concatenate([np.arange(n) for n in sizes])
+        h_val = np.concatenate([high.by_length[i].values for i in lengths])
+        order = np.lexsort((h_pos, h_len, -h_val))
+        h_len, h_pos, h_val = h_len[order], h_pos[order], h_val[order]
+        h_keys = np.zeros(len(order), dtype=np.int64)  # single-word keys only
+        fresh = np.zeros(len(order), dtype=bool)
+        for i in lengths:
+            at = np.flatnonzero(h_len == i)
+            keys = high.by_length[i].keys[h_pos[at]]
+            done = self._singular_extended.get(i, keys[:0])
+            fresh[at] = ~member(done, keys)
+            if fresh[at].any():
+                self._singular_extended[i] = np.sort(
+                    np.concatenate([done, keys[fresh[at]]])
+                )
+            if fits_int64(radix, i):
+                h_keys[at] = keys
+        max_length = int(h_len.max()) + max(sources)
+        single_word = np.array([fits_int64(radix, n) for n in range(max_length + 1)])
+        powers = np.array(
+            [radix**n if single_word[n] else 0 for n in range(max_length + 1)],
+            dtype=np.int64,
+        )
+
+        # One pass per partner length j over every high pattern at once.
+        columns: list[list[np.ndarray]] = [[], [], [], [], []]
+        multiword: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        for j, q in sources.items():
+            if j == 1:
+                cutoff = np.where(fresh, len(q.keys), 0)
+            elif exhaustive:
+                cutoff = np.full(len(h_len), len(q.keys))
             else:
-                stats.candidates_bound_pruned += 1
-
-        high_sorted = sorted(high.items(), key=lambda item: sort_key(*item))
-        partners = book.partners_by_length()
-        # Ascending copies of the (descending) value lists, for bisect.
-        neg_values = {
-            j: [-v for v in values] for j, (values, _) in partners.items()
-        }
-
-        for p_cells, p_nm in high_sorted:
-            i = len(p_cells)
-            # (a) Extensions by every singular pattern (both sides).  These
-            # are exactly the potential 1-extension patterns of Lemma 1, so
-            # they are always materialised (evaluated or bounded).  The
-            # singular alphabet never changes, so each high pattern needs
-            # this only once.
-            if p_cells not in self._singular_extended:
-                self._singular_extended.add(p_cells)
-                for s_cells, s_nm in self._singulars:
-                    bound = (i * p_nm + s_nm) / (i + 1)
-                    handle(p_cells + s_cells, bound)
-                    handle(s_cells + p_cells, bound)
-
-            # (b) Extensions by longer partners.  Only partners whose value
-            # keeps the concatenation bound at or above omega can produce a
-            # high pattern; anything lower is provably low and, having both
-            # parts of length >= 2 reachable some other way, redundant.
-            for j, (values, cells_list) in partners.items():
-                if j == 1:
+                tau = ((h_len + j) * omega - h_len * h_val) / j
+                # Partner values are sorted descending: count those >= tau.
+                cutoff = np.searchsorted(-q.values, -tau, side="right")
+            if not cutoff.any():
+                continue
+            rows = np.repeat(np.arange(len(cutoff)), cutoff)
+            idx = np.arange(len(rows)) - (np.cumsum(cutoff) - cutoff)[rows]
+            i_rows = h_len[rows]
+            seq = rows * stride + 2 * idx
+            bound = (i_rows * h_val[rows] + j * q.values[idx]) / (i_rows + j)
+            fast = single_word[i_rows + j]
+            if not fast.all():
+                slow = ~fast
+                for i in np.unique(i_rows[slow]).tolist():
+                    sel = slow & (i_rows == i)
+                    p_cells = high.cells(i)[h_pos[rows[sel]]]
+                    q_cells = cells_from_keys(q.keys[idx[sel]], j, radix)
+                    right = row_keys(np.hstack([p_cells, q_cells]), radix)
+                    left = row_keys(np.hstack([q_cells, p_cells]), radix)
+                    multiword.setdefault(i + j, []).append(
+                        (_interleave(right, left), _interleave(seq[sel], seq[sel] + 1),
+                         np.repeat(bound[sel], 2))
+                    )
+                if not fast.any():
                     continue
-                if exhaustive:
-                    cutoff = len(values)
-                else:
-                    tau = ((i + j) * omega - i * p_nm) / j
-                    # values is sorted descending: find how many are >= tau.
-                    cutoff = bisect_right(neg_values[j], -tau)
-                for idx in range(cutoff):
-                    q_cells = cells_list[idx]
-                    bound = (i * p_nm + j * values[idx]) / (i + j)
-                    handle(p_cells + q_cells, bound)
-                    handle(q_cells + p_cells, bound)
+                rows, idx, i_rows = rows[fast], idx[fast], i_rows[fast]
+                seq, bound = seq[fast], bound[fast]
+            p_keys, q_keys = h_keys[rows], q.keys[idx]
+            for column, value in zip(
+                columns,
+                (
+                    p_keys * powers[j] + q_keys,  # right extension
+                    q_keys * powers[i_rows] + p_keys,  # left extension
+                    seq,
+                    bound,
+                    i_rows + j,
+                ),
+            ):
+                column.append(value)
 
-        return to_evaluate, to_bound
+        # Group single-word emissions by candidate length, in loop order.
+        by_length: dict[int, tuple[np.ndarray, ...]] = {}
+        if columns[0]:
+            right, left, seq, bound, cand_len = map(np.concatenate, columns)
+            keys = _interleave(right, left)
+            seq = _interleave(seq, seq + 1)
+            bound = np.repeat(bound, 2)
+            cand_len = np.repeat(cand_len, 2)
+            order = np.argsort(cand_len * (len(h_len) * stride) + seq)
+            keys, seq, bound, cand_len = keys[order], seq[order], bound[order], cand_len[order]
+            cuts = np.flatnonzero(np.diff(cand_len)) + 1
+            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(keys)]):
+                by_length[int(cand_len[lo])] = (keys[lo:hi], seq[lo:hi], bound[lo:hi])
+        for length, parts in multiword.items():
+            keys, seq, bound = map(np.concatenate, zip(*parts))
+            order = np.argsort(seq)
+            by_length[length] = (keys[order], seq[order], bound[order])
+
+        to_evaluate = []
+        for length in sorted(by_length):
+            keys, seq, bound = by_length[length]
+            # First occurrence wins: each candidate keeps the bound the loop
+            # met it with first.
+            keys, first = np.unique(keys, return_index=True)
+            seq, bound = seq[first], bound[first]
+            stats.candidates_generated += len(keys)
+            if self.max_length is not None and length > self.max_length:
+                continue
+            active, cached = book.lookup(length, keys)
+            if cached.any():
+                # Previously pruned exact patterns; restore the cached
+                # scores so the 1-extension re-check sees them again.
+                book.set_active(length, keys[cached], True)
+                stats.candidates_cached += int(cached.sum())
+            new = ~(active | cached)
+            if exhaustive:
+                evaluate = new
+            else:
+                evaluate = new & (bound >= omega)
+                low = np.flatnonzero(new & ~evaluate)
+                keep = one_extension_mask(length, keys[low], high)
+                kept = low[keep]
+                book.insert(length, keys[kept], bound[kept], exact=False)
+                stats.candidates_bounded += len(kept)
+                stats.candidates_bound_pruned += len(low) - len(kept)
+            picked = np.flatnonzero(evaluate)
+            to_evaluate.append((length, keys[picked[np.argsort(seq[picked])]]))
+        return to_evaluate

@@ -29,6 +29,8 @@ class PruningAblationRow:
     candidates_evaluated: int
     final_q_size: int
     top_patterns: list[tuple[int, ...]]
+    nm_values: list[float] = field(default_factory=list)
+    omega: float = float("nan")
 
 
 @dataclass
@@ -36,9 +38,16 @@ class PruningAblationResult:
     rows: list[PruningAblationRow] = field(default_factory=list)
 
     def results_identical(self) -> bool:
-        """All variants must mine the same top-k (they are result-preserving)."""
-        tops = [row.top_patterns for row in self.rows]
-        return all(t == tops[0] for t in tops)
+        """All variants must mine the same answer (they are result-preserving).
+
+        The same top-k cells with bit-identical NM values, and the same
+        final threshold ``omega``.
+        """
+        answers = [
+            (list(zip(row.top_patterns, row.nm_values)), row.omega)
+            for row in self.rows
+        ]
+        return all(answer == answers[0] for answer in answers)
 
     def render(self) -> str:
         lines = [
@@ -83,6 +92,8 @@ def run_pruning_ablation(
                 candidates_evaluated=mined.stats.candidates_evaluated,
                 final_q_size=mined.stats.final_q_size,
                 top_patterns=[p.cells for p in mined.patterns],
+                nm_values=list(mined.nm_values),
+                omega=mined.omega,
             )
         )
     return result

@@ -62,6 +62,9 @@ class TestConfigErrors:
         [
             (["--min-prob", "2"], "min_prob must be in (0, 1)"),
             (["--jobs", "0"], "jobs must be at least 1"),
+            (["-k", "0"], "k must be positive"),
+            (["--min-length", "0"], "min_length must be at least 1"),
+            (["--min-length", "3", "--max-length", "2"], "max_length must be >= min_length"),
         ],
     )
     def test_mine_rejects_bad_config(self, files, capsys, flags, message):
@@ -86,6 +89,24 @@ class TestConfigErrors:
             cli.main(["score", patterns, dataset, "--delta", "0.1", *flags])
         assert excinfo.value.code == 2
         assert f"score: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ingest-k", "0"], "k must be positive"),
+            (["--ingest-every", "0"], "remine_every must be positive"),
+            (["--ingest-window", "0"], "window must be positive"),
+            (["--ingest-min-length", "0"], "min_length must be at least 1"),
+        ],
+    )
+    def test_serve_rejects_bad_ingest_config(self, files, capsys, flags, message):
+        dataset, _ = files
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["serve", dataset, "--port", "0", "--ingest", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"serve: error: {message}" in err
+        assert "Traceback" not in err
 
     @pytest.fixture(scope="class")
     def bad_files(self, tmp_path_factory):

@@ -22,6 +22,7 @@ from repro.experiments import (
     run_pruning_ablation,
     run_table1,
 )
+from repro.experiments.ablations import PruningAblationResult, PruningAblationRow
 from repro.experiments.datasets import (
     bus_fleet_paths,
     bus_velocity_dataset,
@@ -134,7 +135,21 @@ class TestAblations:
         result = run_pruning_ablation(TINY_FIG4)
         assert len(result.rows) == 4
         assert result.results_identical()
-        assert "pruning" in result.render()
+        assert all(len(row.nm_values) == TINY_FIG4.k for row in result.rows)
+        assert "results identical: True" in result.render()
+
+    def test_results_identical_compares_nm_and_omega(self):
+        def row(cells, nms, omega):
+            return PruningAblationRow("v", 0.0, 0, 0, cells, nms, omega)
+
+        same = row([(1,), (2, 3)], [-1.0, -2.0], -2.0)
+        assert PruningAblationResult([same, same]).results_identical()
+        for other in (
+            row([(1,), (2, 4)], [-1.0, -2.0], -2.0),  # cells differ
+            row([(1,), (2, 3)], [-1.0, -2.0000000000000004], -2.0),  # one ULP
+            row([(1,), (2, 3)], [-1.0, -2.0], -2.5),  # omega differs
+        ):
+            assert not PruningAblationResult([same, other]).results_identical()
 
     def test_prob_model_ablation_overlap(self):
         result = run_prob_model_ablation(TINY_FIG4)

@@ -159,6 +159,48 @@ class TestIncrementalIndexer:
         assert len(engine.dataset) == 6
         _assert_same_index(engine, trajectories[3:9], grid)
 
+    def test_windowed_append_installs_once(self, pool):
+        trajectories, grid = pool
+        engine = NMEngine(TrajectoryDataset(trajectories[:5]), grid, CONFIG)
+        pinned = engine.index_epoch
+        indexer = IncrementalIndexer(engine, window=5)
+        indexer.append(trajectories[5:8])
+        assert engine.index_epoch == pinned + 1
+        assert (indexer.appends, indexer.evictions) == (1, 1)
+        assert indexer.rows_evicted == sum(len(t) for t in trajectories[:3])
+        _assert_same_index(engine, trajectories[3:8], grid)
+
+    def test_delta_larger_than_window(self, pool):
+        trajectories, grid = pool
+        engine = NMEngine(TrajectoryDataset(trajectories[:4]), grid, CONFIG)
+        indexer = IncrementalIndexer(engine, window=3)
+        stats = indexer.append(trajectories[4:9])
+        assert stats["appended"] == 5 and stats["evicted"] == 6
+        assert indexer.rows_evicted == sum(len(t) for t in trajectories[:6])
+        _assert_same_index(engine, trajectories[6:9], grid)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        n_base=st.integers(1, 5),
+        batches=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    )
+    def test_any_windowed_fold_is_bit_identical(self, pool, window, n_base, batches):
+        """Property: windowed appends == fresh build of the window, 0 ULP."""
+        trajectories, grid = pool
+        engine = NMEngine(TrajectoryDataset(trajectories[:n_base]), grid, CONFIG)
+        indexer = IncrementalIndexer(engine, window=window)
+        cursor = n_base
+        for size in batches:
+            batch = trajectories[cursor : cursor + size]
+            if not batch:
+                break
+            cursor += len(batch)
+            epoch = engine.index_epoch
+            indexer.append(batch)
+            assert engine.index_epoch == epoch + 1
+        _assert_same_index(engine, trajectories[max(0, cursor - window) : cursor], grid)
+
     def test_evict_everything_is_refused(self, pool):
         trajectories, grid = pool
         engine = NMEngine(TrajectoryDataset(trajectories[:3]), grid, CONFIG)

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from repro.core.trajpattern import TrajPatternMiner
+from repro.core.engine import EngineConfig, NMEngine
+from repro.core.trajpattern import PHASES, TrajPatternMiner
+from repro.experiments.datasets import zebranet_dataset
+from repro.obs import report, tracing
 
 
 @pytest.fixture
@@ -47,3 +50,50 @@ class TestIterationTrace:
     def test_book_sizes_reported(self, traced):
         last = traced.stats.trace[-1]
         assert last.n_exact + last.n_bounded == traced.stats.final_q_size
+
+
+class TestPhaseTimers:
+    """The always-on phase timers account for the mine's wall time."""
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        dataset = zebranet_dataset(n_trajectories=40, n_ticks=30, seed=3)
+        engine = NMEngine(
+            dataset, dataset.make_grid(0.02), EngineConfig(delta=0.02, min_prob=1e-4)
+        )
+        return TrajPatternMiner(engine, k=8).mine()
+
+    def test_phases_cover_the_wall_time(self, mined):
+        stats = mined.stats
+        total = sum(stats.phase_time_s(phase) for phase in PHASES)
+        assert total <= stats.wall_time_s
+        assert total >= 0.9 * stats.wall_time_s
+
+    def test_properties_view_the_registry(self, mined):
+        stats = mined.stats
+        assert [
+            stats.generate_time_s,
+            stats.prune_1ext_time_s,
+            stats.partners_time_s,
+            stats.eval_time_s,
+            stats.topk_time_s,
+        ] == [stats.phase_time_s(phase) for phase in PHASES]
+        assert all(stats.phase_time_s(phase) > 0 for phase in PHASES)
+        with pytest.raises(AttributeError):
+            stats.generate_time_s = 1.0
+
+    def test_phase_spans_nest_under_iterations(self, small_engine, tmp_path):
+        trace_file = tmp_path / "trace.jsonl"
+        tracing.configure_tracing(path=trace_file)
+        try:
+            TrajPatternMiner(small_engine, k=5, max_length=3).mine()
+        finally:
+            tracing.disable_tracing()
+        spans = report.load_trace(trace_file)
+        iterations = {s["span"] for s in spans if s["name"] == "miner.iteration"}
+        for phase in PHASES:
+            inside = [
+                s for s in spans
+                if s["name"] == f"miner.{phase}" and s["parent"] in iterations
+            ]
+            assert inside, phase
