@@ -6,7 +6,7 @@ top-k the server republished after the last wave is *identical* -- cells
 and NM values, no tolerance -- to a from-scratch
 :class:`TrajPatternMiner` run over the final trajectory set.  Exits
 non-zero on any mismatch, so CI fails loudly if the incremental fold or
-the warm-started miner ever drifts from the batch path.
+the server's re-mine over it ever drifts from the batch path.
 
 Usage::
 

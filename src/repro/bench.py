@@ -1,8 +1,8 @@
 """Perf-trajectory benchmark suite: engine, kernels, mining and serving.
 
 Runs the engine micro-benchmarks (index construction, candidate
-evaluation), the kernel-backend comparison (numpy vs compiled, float64 vs
-float32, gap-DP throughput), a fig4a-style mining workload, the sharded
+evaluation), the kernel-backend comparison (numpy vs compiled, gap-DP
+throughput), a fig4a-style mining workload, the sharded
 parallel-scaling sweep (1/2/4/8 workers), the index-cache cold/warm
 comparison and the columnar-store suite (``.tjc`` open/scan/size
 economics plus an out-of-core RSS demonstration: a sharded mine over a
@@ -220,9 +220,9 @@ def _gap_frontier(engine, n: int, seed: int = 13) -> list[GapPattern]:
 
 
 def bench_kernel_backends(rounds: int) -> dict:
-    """Throughput of every kernel backend x dtype on the engine workload.
+    """Throughput of every kernel backend on the engine workload.
 
-    Three axes per combination, all on the standard engine workload:
+    Three axes per backend, all on the standard engine workload:
 
     * ``index_build_s`` / ``index_pairs_per_s`` -- the chunked
       ``prob_within`` sweep of index construction (dominated by the Prob
@@ -233,28 +233,25 @@ def bench_kernel_backends(rounds: int) -> dict:
     * ``gap_s`` / ``gap_evals_per_s`` -- :data:`KERNEL_N_GAP_PATTERNS`
       variable-gap patterns through the wildcard DP.
 
-    ``compiled_vs_numpy_eval_speedup`` (float64 candidate-eval throughput
-    ratio) is the acceptance number for the compiled backend; results are
-    asserted bitwise-equal across backends before any ratio is reported.
+    ``compiled_vs_numpy_eval_speedup`` (candidate-eval throughput ratio)
+    is the acceptance number for the compiled backend; results are
+    asserted equal across backends before any ratio is reported.
     """
     dataset = zebranet_dataset(**ENGINE_WORKLOAD)
     grid = dataset.make_grid(ENGINE_CELL_SIZE)
 
-    combos = [("numpy", "float64"), ("numpy", "float32")]
+    requested = ["numpy"]
     unavailable = kernels.compiled_unavailable_reason()
     if unavailable is None:
-        combos += [("compiled", "float64"), ("compiled", "float32")]
+        requested.append("compiled")
 
     rng = np.random.default_rng(11)
     reference = None
     gap_reference = None
     backends: dict[str, dict] = {}
-    for backend, dtype in combos:
+    for backend in requested:
         config = EngineConfig(
-            delta=ENGINE_CELL_SIZE,
-            min_prob=ENGINE_MIN_PROB,
-            backend=backend,
-            dtype=dtype,
+            delta=ENGINE_CELL_SIZE, min_prob=ENGINE_MIN_PROB, backend=backend
         )
         engine = NMEngine(dataset, grid, config)
         if reference is None:
@@ -272,19 +269,14 @@ def bench_kernel_backends(rounds: int) -> dict:
         gap_s, gap_values = _best_of(
             lambda: [nm_gap_pattern(engine, gp) for gp in gap_frontier], rounds
         )
-        values = np.asarray(values, dtype=np.float64)
-        if dtype == "float64":
-            if reference is None:
-                reference, gap_reference = values, np.asarray(gap_values)
-            else:
-                assert np.allclose(values, reference, rtol=1e-12)
-                assert np.allclose(gap_values, gap_reference, rtol=1e-12)
+        if reference is None:
+            reference, gap_reference = values, np.asarray(gap_values)
         else:
-            assert np.allclose(values, reference, rtol=1e-4)
-        backends[f"{engine.backend_name}-{dtype}"] = {
+            assert np.allclose(values, reference, rtol=1e-12)
+            assert np.allclose(gap_values, gap_reference, rtol=1e-12)
+        backends[engine.backend_name] = {
             "requested": backend,
             "resolved": engine.backend_name,
-            "dtype": dtype,
             "index_build_s": build_s,
             "index_pairs_per_s": n_pairs / build_s if build_s > 0 else float("inf"),
             "eval_s": eval_s,
@@ -311,20 +303,18 @@ def bench_kernel_backends(rounds: int) -> dict:
     if unavailable is not None:
         report["compiled_unavailable_reason"] = unavailable
     else:
-        numpy64 = backends["numpy-float64"]
-        compiled64 = next(
-            entry
-            for key, entry in backends.items()
-            if entry["requested"] == "compiled" and entry["dtype"] == "float64"
+        numpy_ = backends["numpy"]
+        compiled = next(
+            entry for entry in backends.values() if entry["requested"] == "compiled"
         )
         report["compiled_vs_numpy_eval_speedup"] = (
-            numpy64["eval_s"] / compiled64["eval_s"]
-            if compiled64["eval_s"] > 0
+            numpy_["eval_s"] / compiled["eval_s"]
+            if compiled["eval_s"] > 0
             else float("inf")
         )
         report["compiled_vs_numpy_gap_speedup"] = (
-            numpy64["gap_s"] / compiled64["gap_s"]
-            if compiled64["gap_s"] > 0
+            numpy_["gap_s"] / compiled["gap_s"]
+            if compiled["gap_s"] > 0
             else float("inf")
         )
     return report
@@ -752,19 +742,16 @@ def run_dist(rounds: int = 3) -> dict:
 #: beat a full rebuild by >= 5x).
 INCREMENTAL_WORKLOAD = dict(n_trajectories=200, n_ticks=60, sigma=0.01, seed=13)
 INCREMENTAL_DELTA_FRACTION = 0.05
-INCREMENTAL_MINE_K = 8
 
 
 def bench_incremental(rounds: int) -> dict:
-    """Append-vs-rebuild cost of the incremental index, plus warm mining.
+    """Append-vs-rebuild cost of the incremental index.
 
     One engine is built over all but the last ~5% of trajectories; each
     round re-installs that base index from its prebuilt arrays (cheap,
     array-speed) and times a single :meth:`IncrementalIndexer.append` of
     the held-out tail, against the cost of rebuilding the full index from
     scratch.  The folded result is asserted bit-identical to the rebuild.
-    The mining leg compares a cold top-k run with one warm-started from the
-    base dataset's converged frontier.
     """
     from repro.core.incremental import IncrementalIndexer
     from repro.trajectory.dataset import TrajectoryDataset
@@ -777,8 +764,7 @@ def bench_incremental(rounds: int) -> dict:
     base_dataset = TrajectoryDataset(trajs[:-n_delta])
     delta_trajs = trajs[-n_delta:]
 
-    base = NMEngine(base_dataset, grid, config)
-    base_arrays = base.index_arrays()
+    base_arrays = NMEngine(base_dataset, grid, config).index_arrays()
     rebuild_s, full_engine = _best_of(
         lambda: NMEngine(dataset, grid, config), rounds
     )
@@ -804,19 +790,6 @@ def bench_incremental(rounds: int) -> dict:
         for a, b in zip(engine.index_arrays(), full_engine.index_arrays())
     )
 
-    previous = TrajPatternMiner(base, k=INCREMENTAL_MINE_K).mine()
-    t0 = time.perf_counter()
-    cold = TrajPatternMiner(full_engine, k=INCREMENTAL_MINE_K).mine()
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm = TrajPatternMiner(
-        full_engine, k=INCREMENTAL_MINE_K, warm_state=previous.warm_state
-    ).mine()
-    warm_s = time.perf_counter() - t0
-    topk_identical = [
-        (p.cells, nm) for p, nm in cold.as_pairs()
-    ] == [(p.cells, nm) for p, nm in warm.as_pairs()]
-
     delta_rows = sum(len(t) for t in delta_trajs)
     return {
         "n_trajectories": len(trajs),
@@ -829,15 +802,6 @@ def bench_incremental(rounds: int) -> dict:
         "evict_s": evict_s,
         "append_speedup": rebuild_s / append_s if append_s > 0 else float("inf"),
         "bit_identical": bit_identical,
-        "mining": {
-            "k": INCREMENTAL_MINE_K,
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "cold_iterations": cold.stats.iterations,
-            "warm_iterations": warm.stats.iterations,
-            "warm_seeds": len(previous.warm_state),
-            "topk_identical": topk_identical,
-        },
     }
 
 
@@ -847,16 +811,12 @@ def run_incremental(rounds: int = 3) -> dict:
 
 
 def _print_incremental(section: dict) -> None:
-    mining = section["mining"]
     print(
         f"incremental:    append {section['append_s'] * 1e3:.1f}ms vs rebuild "
         f"{section['full_rebuild_s'] * 1e3:.0f}ms "
         f"({section['append_speedup']:.1f}x, "
         f"{section['delta_fraction'] * 100:.1f}% delta, "
-        f"bit-identical={section['bit_identical']}); "
-        f"warm mine {mining['warm_s'] * 1e3:.0f}ms/"
-        f"{mining['warm_iterations']}it vs cold "
-        f"{mining['cold_s'] * 1e3:.0f}ms/{mining['cold_iterations']}it"
+        f"bit-identical={section['bit_identical']})"
     )
 
 
@@ -1412,7 +1372,7 @@ def _print_kernels(kb: dict) -> None:
         )
     if "compiled_vs_numpy_eval_speedup" in kb:
         print(
-            f"kernels compiled vs numpy (f64): "
+            f"kernels compiled vs numpy: "
             f"eval {kb['compiled_vs_numpy_eval_speedup']:.1f}x  "
             f"gap {kb['compiled_vs_numpy_gap_speedup']:.1f}x"
         )
@@ -1529,8 +1489,7 @@ def run_suites(
     re-running the engine benches; ``dist`` likewise runs only the
     distributed-dispatch comparison (merged into ``BENCH_engine.json``)
     plus the routed-serving leg (merged into ``BENCH_serve.json``);
-    ``incremental`` runs the append-vs-rebuild and warm-mining comparison
-    and merges its ``incremental`` section into ``BENCH_engine.json``;
+    ``incremental`` runs the append-vs-rebuild comparison and merges its ``incremental`` section into ``BENCH_engine.json``;
     ``all`` = engine + store + serve (both of which now include the
     distributed sections).
     """
@@ -1656,6 +1615,8 @@ def main() -> None:
         "--rounds", type=int, default=3, help="timing rounds per measurement"
     )
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sections = {s.strip() for s in args.sections.split(",") if s.strip()}
     unknown = sections - {"engine", "serve", "store", "dist"}
     if unknown:

@@ -314,7 +314,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
         log_level=args.log_level,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
@@ -336,7 +335,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 print(
                     f"dataset: {len(dataset)} trajectories, grid {grid.nx}x{grid.ny}, "
                     f"delta {delta:.6g}, jobs {engine_config.jobs}, "
-                    f"backend {engine.backend_name}/{engine.backend_dtype}"
+                    f"backend {engine.backend_name}"
                     + (", index cache hit" if engine.index_cache_hit else "")
                 )
                 result = TrajPatternMiner(
@@ -391,7 +390,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         min_prob=args.min_prob,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
         log_level=args.log_level,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
@@ -572,7 +570,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.snapshot,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
     )
     config = ServeConfig(
         host=args.host,
@@ -593,7 +590,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving snapshot {snapshot.version} on {host}:{port} "
             f"(batch<={config.max_batch}, window {config.max_delay_ms}ms, "
             f"queue<={config.max_queue}, backend "
-            f"{snapshot.engine.backend_name}/{snapshot.engine.backend_dtype}"
+            f"{snapshot.engine.backend_name}"
             + (
                 f", ingest k={ingest.k} every {ingest.remine_every} batch(es)"
                 + (f" window {ingest.window}" if ingest.window else "")
@@ -752,9 +749,32 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
+def _int_list(flag: str, text: str, minimum: int) -> list[int]:
+    """A comma-separated integer flag value; bad items are usage errors."""
+    values = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        try:
+            value = int(item)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise _UsageError(
+                f"{flag} expects comma-separated integers >= {minimum}, "
+                f"got {item!r}"
+            )
+        values.append(value)
+    if not values:
+        raise _UsageError(f"{flag} expects at least one integer")
+    return values
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro import bench
 
+    if args.rounds < 1:
+        raise _UsageError("--rounds must be at least 1")
     return bench.run_suites(
         suite=args.suite, output_dir=args.output_dir, rounds=args.rounds
     )
@@ -764,11 +784,11 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from repro.testkit.oracle import DEFAULT_SEEDS, run_oracle
 
     seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
+        _int_list("--seeds", args.seeds, 0)
+        if args.seeds is not None
         else list(DEFAULT_SEEDS)
     )
-    jobs_grid = [int(j) for j in args.jobs_grid.split(",") if j.strip()]
+    jobs_grid = _int_list("--jobs-grid", args.jobs_grid, 1)
     failures = 0
     for seed in seeds:
         report = run_oracle(
@@ -807,12 +827,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
             "numpy with a warning when no toolchain is available), 'numpy' "
             "(the reference), or 'auto' (compiled when available; default)"
         ),
-    )
-    group.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="value dtype the evaluation kernels run in (default float64)",
     )
 
 
@@ -1334,8 +1348,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["default", "all"],
         default="default",
         help=(
-            "'all': additionally score every kernel backend x dtype "
-            "combination (unavailable ones are reported as explicit skips)"
+            "'all': additionally score every kernel backend (an "
+            "unavailable one is reported as an explicit skip)"
         ),
     )
     selfcheck.set_defaults(func=_cmd_selfcheck)

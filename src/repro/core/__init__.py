@@ -31,7 +31,7 @@ from repro.core.measures import (
     nm_pattern_window,
 )
 from repro.core.pattern import WILDCARD, TrajectoryPattern
-from repro.core.trajpattern import MiningResult, TrajPatternMiner, WarmStartState
+from repro.core.trajpattern import MiningResult, TrajPatternMiner
 from repro.core.parameters import SuggestedParameters, suggest_parameters
 from repro.core.results_io import load_mining_result, save_mining_result
 from repro.core.parallel import ParallelNMEngine, shard_dataset
@@ -51,7 +51,6 @@ __all__ = [
     "save_index",
     "TrajPatternMiner",
     "MiningResult",
-    "WarmStartState",
     "IncrementalIndexer",
     "StaleIndexError",
     "PatternGroup",

@@ -65,10 +65,12 @@ from repro.uncertainty.gaussian import ProbModel, prob_within
 #: Snapshots enumerated per vectorised index-build round (bounds the size of
 #: the in-flight (snapshot, cell) pair arrays).
 _INDEX_ROW_CHUNK = 8192
-#: Default (snapshot, cell) pairs evaluated per ``prob_within`` call; the
-#: live value is the ``EngineConfig.prob_chunk_size`` knob (see
-#: :func:`autotune_prob_chunk`).
+#: (snapshot, cell) pairs evaluated per ``prob_within`` call; bounds the
+#: build's peak memory.  Chunking never changes results (each pair is
+#: evaluated independently), which the test suite pins at 0 ULPs.
 _INDEX_PAIR_CHUNK = 1 << 20
+#: Materialised per-cell dense columns kept in the engine's LRU cache.
+_COLUMN_CACHE_SIZE = 256
 #: Matrix cells per batched-evaluation round: nm/match batches are split so
 #: the per-round ``n_patterns * n_trajectories`` maxima matrix, and dense
 #: window-score batches so ``n_patterns * n_windows``, stay under this.
@@ -83,11 +85,10 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     ``matrix.sum(axis=1)`` picks a pairwise-summation blocking that varies
     with the outer dimension, so the same row can total to ULP-different
     values depending on how many patterns share the batch.  Candidate
-    measures must be batch-composition-invariant -- warm-started mining
-    re-evaluates lone frontier seeds and has to land on exactly the floats
-    the cold run's wider batches produced -- so each row is reduced
-    independently (``np.add.reduceat`` sums every segment sequentially,
-    regardless of how many segments there are).
+    measures must be batch-composition-invariant -- a served score must not
+    depend on which other requests the micro-batcher put in its batch -- so
+    each row is reduced independently (``np.add.reduceat`` sums every
+    segment sequentially, regardless of how many segments there are).
     """
     n, width = matrix.shape
     flat = np.ascontiguousarray(matrix).reshape(-1)
@@ -96,7 +97,7 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tuning knobs of the sparse probability index.
+    """Settings of the sparse probability index and its evaluation.
 
     Parameters
     ----------
@@ -116,10 +117,6 @@ class EngineConfig:
         Memory guard: keep at most this many highest-probability cells per
         snapshot.  The default is high enough to be inactive in ordinary
         configurations.
-    column_cache_size:
-        Number of materialised per-cell dense columns kept in an LRU cache;
-        candidate patterns reuse cells heavily, so this trades memory for a
-        large constant-factor win during mining.
     backend:
         Kernel backend for the hot loops (:mod:`repro.core.kernels`):
         ``"numpy"`` (default -- the reference implementation), ``"compiled"``
@@ -129,19 +126,6 @@ class EngineConfig:
         key except through the Prob-kernel tag: compiled box-``Prob``
         builds use libm ``erf`` and are keyed separately (see
         :func:`repro.core.kernels.prob_kernel_tag`).
-    dtype:
-        Value dtype of the evaluation kernels: ``"float64"`` (default) or
-        ``"float32"``.  The index is always *built* and cached in float64;
-        float32 mode casts the stored values once at install time and runs
-        the batched kernels in float32 (API outputs stay float64).
-        Excluded from the cache key.
-    prob_chunk_size:
-        (snapshot, cell) pairs evaluated per ``prob_within`` call during
-        index construction.  Bounds peak memory of the build; the default
-        (2^20) is a good fit for most machines and
-        :func:`autotune_prob_chunk` measures the best value empirically.
-        Chunking never changes results (each pair is evaluated
-        independently), which the test suite pins at 0 ULPs.
     jobs:
         Worker processes for sharded evaluation.  The engine itself ignores
         this (one :class:`NMEngine` is always single-process); it is read by
@@ -177,10 +161,7 @@ class EngineConfig:
     min_prob: float = 1e-9
     radius_sigmas: float | None = None
     max_cells_per_snapshot: int = 4096
-    column_cache_size: int = 256
     backend: str = "numpy"
-    dtype: str = "float64"
-    prob_chunk_size: int = _INDEX_PAIR_CHUNK
     jobs: int = 1
     cache_dir: str | Path | None = None
     store_path: str | Path | None = None
@@ -197,19 +178,11 @@ class EngineConfig:
             raise ValueError("radius_sigmas must be positive")
         if self.max_cells_per_snapshot <= 0:
             raise ValueError("max_cells_per_snapshot must be positive")
-        if self.column_cache_size <= 0:
-            raise ValueError("column_cache_size must be positive")
         if self.backend not in kernels.BACKEND_CHOICES:
             raise ValueError(
                 f"backend must be one of {kernels.BACKEND_CHOICES}, "
                 f"got {self.backend!r}"
             )
-        if self.dtype not in kernels.DTYPE_CHOICES:
-            raise ValueError(
-                f"dtype must be one of {kernels.DTYPE_CHOICES}, got {self.dtype!r}"
-            )
-        if self.prob_chunk_size < 1:
-            raise ValueError("prob_chunk_size must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -284,8 +257,7 @@ class NMEngine:
         self.grid = grid
         self.config = config
         self._floor = config.min_log_prob
-        self._kernels = kernels.resolve_backend(config.backend, config.dtype)
-        self._dtype = self._kernels.dtype
+        self._kernels = kernels.resolve_backend(config.backend)
         self._arena = ScratchArena()
 
         lengths = dataset.lengths()
@@ -315,7 +287,6 @@ class NMEngine:
         self._flat_cells = np.empty(0, dtype=np.int64)
         self._flat_rows = np.empty(0, dtype=np.int64)
         self._flat_vals = np.empty(0)
-        self._flat_vals_k = np.empty(0, dtype=self._dtype)
         self._seg_starts = np.empty(0, dtype=np.int64)
         self._seg_traj = np.empty(0, dtype=np.int64)
         self._cell_seg_starts = np.empty(0, dtype=np.int64)
@@ -340,7 +311,6 @@ class NMEngine:
                 "cache_hit": self.index_cache_hit,
                 "prebuilt": prebuilt is not None,
                 "backend": self._kernels.name,
-                "dtype": str(self._dtype),
             },
         )
 
@@ -370,11 +340,6 @@ class NMEngine:
         """The kernel implementation actually running ("numpy"/"cnative")."""
         return str(self._kernels.name)
 
-    @property
-    def backend_dtype(self) -> str:
-        """Value dtype of the evaluation kernels ("float64"/"float32")."""
-        return str(self._dtype)
-
     # -- index construction ------------------------------------------------------
 
     def _collect_index_entries(
@@ -385,14 +350,14 @@ class NMEngine:
         All snapshot neighbourhoods of a row chunk are enumerated with one
         :meth:`~repro.geometry.grid.Grid.cells_near_many` call and ``Prob``
         is evaluated over the concatenated (snapshot, cell) pairs in bounded
-        chunks of ``config.prob_chunk_size`` pairs, through the configured
+        chunks of :data:`_INDEX_PAIR_CHUNK` pairs, through the configured
         kernel backend; only the (rare) per-snapshot cap falls back to a
         Python loop over the few snapshots that exceed it.
         """
         cfg = self.config
         radius_sigmas = cfg.effective_radius_sigmas()
         cap = cfg.max_cells_per_snapshot
-        pair_chunk = cfg.prob_chunk_size
+        pair_chunk = _INDEX_PAIR_CHUNK
         row_columns = getattr(self.dataset, "row_columns", None)
         if row_columns is None:
             # Eager datasets already hold dense columns; slicing views is
@@ -615,7 +580,6 @@ class NMEngine:
             self._flat_cells = np.empty(0, dtype=np.int64)
             self._flat_rows = np.empty(0, dtype=np.int64)
             self._flat_vals = np.empty(0)
-            self._flat_vals_k = np.empty(0, dtype=self._dtype)
             self._seg_starts = np.empty(0, dtype=np.int64)
             self._seg_traj = np.empty(0, dtype=np.int64)
             self._cell_seg_starts = np.empty(0, dtype=np.int64)
@@ -646,13 +610,6 @@ class NMEngine:
         self._flat_cells = all_cells
         self._flat_rows = all_rows
         self._flat_vals = all_vals
-        # The kernels run in the configured dtype; float64 shares storage,
-        # float32 casts once here (the cache stays float64 either way).
-        self._flat_vals_k = (
-            all_vals
-            if self._dtype == np.float64
-            else all_vals.astype(self._dtype)
-        )
         entry_traj = self._row_traj[all_rows]
         if len(all_rows):
             change = np.nonzero(
@@ -691,7 +648,7 @@ class NMEngine:
             col[self._flat_rows[sl]] = self._flat_vals[sl]
         col.setflags(write=False)
         self._column_cache[cell] = col
-        if len(self._column_cache) > self.config.column_cache_size:
+        if len(self._column_cache) > _COLUMN_CACHE_SIZE:
             self._column_cache.popitem(last=False)
         return col
 
@@ -774,16 +731,14 @@ class NMEngine:
         cells_matrix = np.array([p.cells for p in patterns], dtype=np.int64)
         n_spec = (cells_matrix != WILDCARD).sum(axis=1)
         start, count = self._entry_lookup()
-        scores = self._arena.get(
-            "stacked.out", (len(patterns), n_windows), self._dtype
-        )
+        scores = self._arena.get("stacked.out", (len(patterns), n_windows))
         self._kernels.stacked_scores(
             cells_matrix,
             n_spec,
             start,
             count,
             self._flat_rows,
-            self._flat_vals_k,
+            self._flat_vals,
             self._floor,
             n_windows,
             scores,
@@ -853,14 +808,14 @@ class NMEngine:
         n_patterns = cells_matrix.shape[0]
         start, count = self._entry_lookup()
         dev_max = self._arena.get(
-            "devmax.out", (n_patterns, len(self.dataset)), self._dtype, zero=True
+            "devmax.out", (n_patterns, len(self.dataset)), zero=True
         )
         self._kernels.batch_devmax(
             cells_matrix,
             start,
             count,
             self._flat_rows,
-            self._flat_vals_k,
+            self._flat_vals,
             self._floor,
             valid,
             n_windows,
@@ -976,9 +931,9 @@ class NMEngine:
                     [patterns[i] for i in sub], n_windows
                 )
                 for row, i in enumerate(sub):
-                    # Copy out of the arena-backed scratch (and upcast the
-                    # float32 mode): these rows outlive the next batch.
-                    out[i] = np.array(scores[row], dtype=np.float64)
+                    # Copy out of the arena-backed scratch: these rows
+                    # outlive the next batch.
+                    out[i] = scores[row].copy()
         return out
 
     # -- bulk singular evaluation ---------------------------------------------------------
@@ -993,7 +948,7 @@ class NMEngine:
         """
         if self._seg_max is None:
             self._seg_max = self._kernels.segment_maxima(
-                self._flat_vals_k, self._seg_starts
+                self._flat_vals, self._seg_starts
             )
         return self._seg_max
 
@@ -1279,46 +1234,3 @@ def build_engine(
 
         return ParallelNMEngine(dataset, grid, config)
     return NMEngine(dataset, grid, config)
-
-
-def autotune_prob_chunk(
-    dataset: TrajectoryDataset,
-    grid: Grid,
-    config: EngineConfig,
-    candidates: Sequence[int] = (1 << 16, 1 << 18, 1 << 20, 1 << 22),
-    rounds: int = 2,
-) -> int:
-    """Empirically pick the fastest ``prob_chunk_size`` for this machine.
-
-    Times the full index-entry collection (the chunked ``prob_within``
-    sweep) at each candidate size and returns the fastest.  Chunking is
-    purely an execution-shape knob -- every (snapshot, cell) pair is
-    evaluated independently, so results are bit-identical at any size (a
-    regression test pins this at 0 ULPs) and the choice is safe to apply
-    blindly via ``replace(config, prob_chunk_size=...)``.
-
-    A quick helper, not a benchmark: one engine build plus
-    ``rounds * len(candidates)`` collection sweeps over the given dataset.
-    """
-    import time
-    from dataclasses import replace as _replace
-
-    if not candidates:
-        raise ValueError("autotune needs at least one candidate chunk size")
-    base = _replace(config, cache_dir=None)
-    engine = NMEngine(dataset, grid, base)
-    best_chunk, best_t = None, float("inf")
-    for chunk in candidates:
-        engine.config = _replace(base, prob_chunk_size=int(chunk))
-        elapsed = float("inf")
-        for _ in range(max(1, rounds)):
-            t0 = time.perf_counter()
-            engine._collect_index_entries()
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_t:
-            best_chunk, best_t = int(chunk), elapsed
-    _log.debug(
-        "prob_chunk autotune",
-        extra={"best": best_chunk, "candidates": [int(c) for c in candidates]},
-    )
-    return best_chunk

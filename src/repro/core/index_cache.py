@@ -25,8 +25,8 @@ The file name is a SHA-256 over
   (compiled libm-``erf`` builds differ by a couple of ULPs; see
   :func:`cache_key`).
 
-Knobs that do not change the stored entries (``column_cache_size``,
-``jobs``, ``cache_dir`` itself, evaluation ``backend``/``dtype``) are
+Settings that do not change the stored entries (``jobs``, ``cache_dir``
+itself, the evaluation ``backend``, the observability paths) are
 deliberately excluded, so serial and parallel runs share one cache file.
 
 Robustness: files are written atomically (temp file + ``os.replace``) and
@@ -100,8 +100,9 @@ def cache_key(dataset, grid, config, *, kernel_tag: str = "ref") -> str:
     is ``"ref"`` and -- for compatibility with files written before kernel
     backends existed -- contributes nothing to the key, while compiled
     kernels (libm ``erf``, within ~2 ULPs of scipy but not bit-identical)
-    are mixed in so the two builds never alias one cache file.  Evaluation
-    dtype and backend do *not* affect the stored entries and stay excluded.
+    are mixed in so the two builds never alias one cache file.  The
+    evaluation backend does *not* affect the stored entries and stays
+    excluded.
     """
     h = hashlib.sha256()
     h.update(f"format={CACHE_FORMAT_VERSION}".encode())
@@ -286,26 +287,6 @@ def ensure_index(
 
     engine = NMEngine(dataset, grid, config)
     return engine.index_arrays()
-
-
-def warm_cache(dataset, grid, config) -> bool:
-    """Pre-populate the cache for ``(dataset, grid, config)``; True on a build.
-
-    Used by ``repro serve`` snapshot preparation to pay the index build
-    before a snapshot swap is requested, so the swap itself is a pure load.
-    Returns ``False`` when the cache file already existed.
-    """
-    from repro.core import kernels  # deferred: kernels has no cycle, stay lazy
-
-    if config.cache_dir is None:
-        raise ValueError("warm_cache requires config.cache_dir to be set")
-    key = cache_key(
-        dataset, grid, config, kernel_tag=kernels.prob_kernel_tag(config)
-    )
-    if cache_path(config.cache_dir, key).exists():
-        return False
-    ensure_index(dataset, grid, config)
-    return True
 
 
 def _corrupt(target: Path, reason: str) -> None:

@@ -20,20 +20,15 @@ Backends
 ``auto``
     ``compiled`` when available, else ``numpy`` -- silently (debug log).
 
-Selection is config-driven end to end: ``EngineConfig(backend=...,
-dtype=...)``, CLI ``--backend/--dtype``, the ``serve.json`` snapshot
-fields, and the obs manifest record what actually ran.  The environment
+Selection is config-driven end to end: ``EngineConfig(backend=...)``,
+CLI ``--backend``, the ``serve.json`` snapshot field, and the obs manifest
+records what actually ran.  The environment
 variable ``REPRO_KERNELS`` overrides provider choice for operational
 escape hatches: ``cnative`` forces the C provider, ``none``
 disables compiled kernels entirely (useful to assert the fallback path).
 
-Precision modes
----------------
-``dtype="float32"`` stores the flat index values (and runs the evaluation
-kernels) in float32; the index is always *built* in float64 and cached in
-float64, so the cache is dtype-independent and a float32 engine warm-starts
-from a float64-built file.  API outputs remain float64.  See
-``docs/KERNELS.md`` for the ULP policy.
+Every backend evaluates in float64, the dtype the index is built, cached
+and served in; see ``docs/KERNELS.md`` for the ULP policy.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from repro.uncertainty.gaussian import ProbModel
 
 __all__ = [
     "BACKEND_CHOICES",
-    "DTYPE_CHOICES",
     "KernelBackend",
     "NumpyKernels",
     "ScratchArena",
@@ -65,8 +59,6 @@ _log = logs.get_logger("kernels")
 
 #: Values accepted by ``EngineConfig.backend`` / ``--backend``.
 BACKEND_CHOICES = ("numpy", "compiled", "auto")
-#: Values accepted by ``EngineConfig.dtype`` / ``--dtype``.
-DTYPE_CHOICES = ("float64", "float32")
 
 
 @runtime_checkable
@@ -83,7 +75,6 @@ class KernelBackend(Protocol):
 
     name: str        #: resolved implementation ("numpy", "cnative")
     provider: str    #: toolchain behind it (same as name today)
-    dtype: np.dtype  #: value dtype the evaluation kernels run in
     compiled: bool   #: True for native implementations
     prob_tag: str    #: identity of the Prob kernel ("ref" = scipy erf)
 
@@ -111,8 +102,8 @@ class KernelBackend(Protocol):
 
 #: Cached (provider | None, unavailable-reason | None) per REPRO_KERNELS value.
 _provider_state: dict[str, tuple[object | None, str | None]] = {}
-#: Cached backend instances keyed by (resolved name, dtype).
-_instances: dict[tuple[str, str], KernelBackend] = {}
+#: Cached backend instances keyed by resolved name.
+_instances: dict[str, KernelBackend] = {}
 
 
 def _forced() -> str:
@@ -168,51 +159,47 @@ def available_backends() -> list[str]:
 
 
 def resolve_backend(backend: str, dtype: str = "float64") -> KernelBackend:
-    """The backend instance a config ``(backend, dtype)`` pair runs on.
+    """The backend instance a config's ``backend`` runs on.
 
     ``"compiled"`` degrades to numpy with a structured warning when no
     native provider is available; ``"auto"`` degrades silently.  Instances
-    are cached per (implementation, dtype), so resolution is cheap enough
-    to call per engine construction (including inside forked workers,
-    where it naturally re-resolves against the worker's own process).
+    are cached per implementation, so resolution is cheap enough to call
+    per engine construction (including inside forked workers, where it
+    naturally re-resolves against the worker's own process).  ``dtype``
+    accepts only ``"float64"``, the one value dtype every backend runs in;
+    it stays for callers that name it.
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown kernel backend {backend!r} (expected one of {BACKEND_CHOICES})"
         )
-    if dtype not in DTYPE_CHOICES:
-        raise ValueError(
-            f"unknown kernel dtype {dtype!r} (expected one of {DTYPE_CHOICES})"
-        )
+    if dtype != "float64":
+        raise ValueError(f"unknown kernel dtype {dtype!r} (expected 'float64')")
     if backend == "numpy":
-        return _instance("numpy", dtype)
+        return _instance("numpy")
     provider, reason = _provider()
     if provider is None:
         if backend == "compiled":
             _log.warning(
                 "compiled kernel backend unavailable; falling back to numpy",
-                extra={"requested": backend, "dtype": dtype, "reason": reason},
+                extra={"requested": backend, "reason": reason},
             )
         else:
-            _log.debug(
-                "auto backend resolved to numpy",
-                extra={"dtype": dtype, "reason": reason},
-            )
-        return _instance("numpy", dtype)
-    return _instance(provider.name, dtype, provider)
+            _log.debug("auto backend resolved to numpy", extra={"reason": reason})
+        return _instance("numpy")
+    return _instance(provider.name, provider)
 
 
-def _instance(name: str, dtype: str, provider=None) -> KernelBackend:
-    key = (name, dtype)
-    inst = _instances.get(key)
+def _instance(name: str, provider=None) -> KernelBackend:
+    inst = _instances.get(name)
     if inst is None:
         if name == "numpy":
-            inst = NumpyKernels(dtype)
+            inst = NumpyKernels()
         else:
             from repro.core.kernels.compiled import CompiledKernels
 
-            inst = CompiledKernels(provider, dtype)
-        _instances[key] = inst
+            inst = CompiledKernels(provider)
+        _instances[name] = inst
     return inst
 
 
@@ -228,16 +215,15 @@ def prob_kernel_tag(config) -> str:
     """
     if config.prob_model is not ProbModel.BOX:
         return "ref"
-    return resolve_backend(config.backend, config.dtype).prob_tag
+    return resolve_backend(config.backend).prob_tag
 
 
 def backend_summary(config) -> dict:
     """What a config resolves to on this machine (for manifests/metrics)."""
-    resolved = resolve_backend(config.backend, config.dtype)
+    resolved = resolve_backend(config.backend)
     summary = {
         "requested": config.backend,
         "resolved": resolved.name,
-        "dtype": str(resolved.dtype),
         "compiled": bool(resolved.compiled),
     }
     reason = compiled_unavailable_reason()

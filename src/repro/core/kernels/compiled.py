@@ -17,7 +17,7 @@ Numerical notes
 ---------------
 The evaluation kernels (devmax / stacked / segmax / gap DP) accumulate in
 exactly the reference order (see :mod:`repro.core.kernels.numpy_ref`), so
-they are bit-identical to numpy in both dtypes.  The box ``Prob`` kernel
+they are bit-identical to numpy.  The box ``Prob`` kernel
 is the one exception: it uses the C library's ``erf`` (libm), which may
 differ from scipy's by a couple of ULPs.  An index built through it is
 therefore tagged in the index-cache key (``prob_tag``) so it never
@@ -40,7 +40,6 @@ import numpy as np
 from repro.obs import logs
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
-from repro.core.kernels.numpy_ref import NumpyKernels
 
 _log = logs.get_logger("kernels.compiled")
 
@@ -61,90 +60,79 @@ _C_SOURCE = r"""
  * bit-identical.  scratch must be all zeros on entry and is restored to
  * zeros before returning; touched holds the windows dirtied per pattern.
  * out is (n_patterns, n_traj), zero-filled by the caller. */
-#define DEVMAX(SUF, T)                                                        \
-void batch_devmax_##SUF(                                                      \
-    const int64_t *cells, int64_t n_patterns, int64_t m,                      \
-    const int64_t *start, const int64_t *count,                               \
-    const int64_t *rows, const T *vals, double floor_,                        \
-    const uint8_t *valid, int64_t n_windows, const int64_t *win_traj,         \
-    int64_t n_traj, T *scratch, int64_t *touched, T *out)                     \
-{                                                                             \
-    const T floorv = (T)floor_;                                               \
-    for (int64_t p = 0; p < n_patterns; ++p) {                                \
-        int64_t nt = 0;                                                       \
-        const int64_t *pc = cells + p * m;                                    \
-        for (int64_t j = 0; j < m; ++j) {                                     \
-            const int64_t c = pc[j];                                          \
-            if (c < 0) continue;                                              \
-            const int64_t e0 = start[c], e1 = e0 + count[c];                  \
-            for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = rows[e] - j;                                \
-                if (w < 0 || w >= n_windows || !valid[w]) continue;           \
-                const T d = vals[e] - floorv;                                 \
-                /* d == 0 adds nothing to the reference sum; skipping it      \
-                 * keeps the touched list duplicate-free. */                  \
-                if (d <= (T)0) continue;                                      \
-                if (scratch[w] == (T)0) touched[nt++] = w;                    \
-                scratch[w] += d;                                              \
-            }                                                                 \
-        }                                                                     \
-        T *orow = out + p * n_traj;                                           \
-        for (int64_t t = 0; t < nt; ++t) {                                    \
-            const int64_t w = touched[t];                                     \
-            const T s = scratch[w];                                           \
-            scratch[w] = (T)0;                                                \
-            const int64_t tr = win_traj[w];                                   \
-            if (s > orow[tr]) orow[tr] = s;                                   \
-        }                                                                     \
-    }                                                                         \
+void batch_devmax_f64(
+    const int64_t *cells, int64_t n_patterns, int64_t m,
+    const int64_t *start, const int64_t *count,
+    const int64_t *rows, const double *vals, double floor_,
+    const uint8_t *valid, int64_t n_windows, const int64_t *win_traj,
+    int64_t n_traj, double *scratch, int64_t *touched, double *out)
+{
+    for (int64_t p = 0; p < n_patterns; ++p) {
+        int64_t nt = 0;
+        const int64_t *pc = cells + p * m;
+        for (int64_t j = 0; j < m; ++j) {
+            const int64_t c = pc[j];
+            if (c < 0) continue;
+            const int64_t e0 = start[c], e1 = e0 + count[c];
+            for (int64_t e = e0; e < e1; ++e) {
+                const int64_t w = rows[e] - j;
+                if (w < 0 || w >= n_windows || !valid[w]) continue;
+                const double d = vals[e] - floor_;
+                /* d == 0 adds nothing to the reference sum; skipping it
+                 * keeps the touched list duplicate-free. */
+                if (d <= 0.0) continue;
+                if (scratch[w] == 0.0) touched[nt++] = w;
+                scratch[w] += d;
+            }
+        }
+        double *orow = out + p * n_traj;
+        for (int64_t t = 0; t < nt; ++t) {
+            const int64_t w = touched[t];
+            const double s = scratch[w];
+            scratch[w] = 0.0;
+            const int64_t tr = win_traj[w];
+            if (s > orow[tr]) orow[tr] = s;
+        }
+    }
 }
-DEVMAX(f64, double)
-DEVMAX(f32, float)
 
 /* Scatter deviations on top of a caller-prefilled baseline matrix. */
-#define STACKED(SUF, T)                                                       \
-void stacked_add_##SUF(                                                       \
-    const int64_t *cells, int64_t n_patterns, int64_t m,                      \
-    const int64_t *start, const int64_t *count,                               \
-    const int64_t *rows, const T *vals, double floor_,                        \
-    int64_t n_windows, T *out)                                                \
-{                                                                             \
-    const T floorv = (T)floor_;                                               \
-    for (int64_t p = 0; p < n_patterns; ++p) {                                \
-        T *orow = out + p * n_windows;                                        \
-        const int64_t *pc = cells + p * m;                                    \
-        for (int64_t j = 0; j < m; ++j) {                                     \
-            const int64_t c = pc[j];                                          \
-            if (c < 0) continue;                                              \
-            const int64_t e0 = start[c], e1 = e0 + count[c];                  \
-            for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = rows[e] - j;                                \
-                if (w < 0 || w >= n_windows) continue;                        \
-                orow[w] += vals[e] - floorv;                                  \
-            }                                                                 \
-        }                                                                     \
-    }                                                                         \
+void stacked_add_f64(
+    const int64_t *cells, int64_t n_patterns, int64_t m,
+    const int64_t *start, const int64_t *count,
+    const int64_t *rows, const double *vals, double floor_,
+    int64_t n_windows, double *out)
+{
+    for (int64_t p = 0; p < n_patterns; ++p) {
+        double *orow = out + p * n_windows;
+        const int64_t *pc = cells + p * m;
+        for (int64_t j = 0; j < m; ++j) {
+            const int64_t c = pc[j];
+            if (c < 0) continue;
+            const int64_t e0 = start[c], e1 = e0 + count[c];
+            for (int64_t e = e0; e < e1; ++e) {
+                const int64_t w = rows[e] - j;
+                if (w < 0 || w >= n_windows) continue;
+                orow[w] += vals[e] - floor_;
+            }
+        }
+    }
 }
-STACKED(f64, double)
-STACKED(f32, float)
 
 /* np.maximum.reduceat over non-empty segments. */
-#define SEGMAX(SUF, T)                                                        \
-void segment_maxima_##SUF(                                                    \
-    const T *vals, int64_t n_vals, const int64_t *seg_starts,                 \
-    int64_t n_segs, T *out)                                                   \
-{                                                                             \
-    for (int64_t s = 0; s < n_segs; ++s) {                                    \
-        const int64_t lo = seg_starts[s];                                     \
-        const int64_t hi = (s + 1 < n_segs) ? seg_starts[s + 1] : n_vals;     \
-        T best = vals[lo];                                                    \
-        for (int64_t e = lo + 1; e < hi; ++e)                                 \
-            if (vals[e] > best) best = vals[e];                               \
-        out[s] = best;                                                        \
-    }                                                                         \
+void segment_maxima_f64(
+    const double *vals, int64_t n_vals, const int64_t *seg_starts,
+    int64_t n_segs, double *out)
+{
+    for (int64_t s = 0; s < n_segs; ++s) {
+        const int64_t lo = seg_starts[s];
+        const int64_t hi = (s + 1 < n_segs) ? seg_starts[s + 1] : n_vals;
+        double best = vals[lo];
+        for (int64_t e = lo + 1; e < hi; ++e)
+            if (vals[e] > best) best = vals[e];
+        out[s] = best;
+    }
 }
-SEGMAX(f64, double)
-SEGMAX(f32, float)
 
 /* Box Prob: product of two normal-CDF interval masses, libm erf. */
 void prob_box_f64(
@@ -208,11 +196,7 @@ double gap_dp_f64(
 
 
 class _Provider:
-    """Uniform callable bundle a :class:`CompiledKernels` drives.
-
-    ``devmax`` / ``stacked_add`` / ``segmax`` take numpy arrays in the
-    value dtype; ``prob_box`` / ``gap_dp`` are float64 only.
-    """
+    """Uniform callable bundle a :class:`CompiledKernels` drives (float64)."""
 
     __slots__ = ("name", "devmax", "stacked_add", "segmax", "prob_box", "gap_dp")
 
@@ -270,17 +254,14 @@ def _build_cnative_provider() -> _Provider:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     ptr = ctypes.c_void_p
-    for suf in ("f64", "f32"):
-        fn = getattr(lib, f"batch_devmax_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, ptr, i64, ptr,
-                       i64, ptr, ptr, ptr]
-        fn = getattr(lib, f"stacked_add_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, i64, ptr]
-        fn = getattr(lib, f"segment_maxima_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, ptr, i64, ptr]
+    lib.batch_devmax_f64.restype = None
+    lib.batch_devmax_f64.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64,
+                                     ptr, i64, ptr, i64, ptr, ptr, ptr]
+    lib.stacked_add_f64.restype = None
+    lib.stacked_add_f64.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64,
+                                    i64, ptr]
+    lib.segment_maxima_f64.restype = None
+    lib.segment_maxima_f64.argtypes = [ptr, i64, ptr, i64, ptr]
     lib.prob_box_f64.restype = None
     lib.prob_box_f64.argtypes = [ptr, ptr, ptr, f64, i64, ptr]
     lib.gap_dp_f64.restype = f64
@@ -289,25 +270,24 @@ def _build_cnative_provider() -> _Provider:
     def _p(arr: np.ndarray):
         return ctypes.c_void_p(arr.ctypes.data)
 
-    def devmax(cells, start, count, rows, vals, floor_t, valid, n_windows,
+    def devmax(cells, start, count, rows, vals, floor_, valid, n_windows,
                win_traj, scratch, touched, out):
-        fn = lib.batch_devmax_f32 if vals.dtype == np.float32 else lib.batch_devmax_f64
-        fn(_p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
-           _p(rows), _p(vals), float(floor_t), _p(valid), n_windows,
-           _p(win_traj), out.shape[1], _p(scratch), _p(touched), _p(out))
+        lib.batch_devmax_f64(
+            _p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
+            _p(rows), _p(vals), float(floor_), _p(valid), n_windows,
+            _p(win_traj), out.shape[1], _p(scratch), _p(touched), _p(out),
+        )
 
-    def stacked_add(cells, start, count, rows, vals, floor_t, n_windows, out):
-        fn = lib.stacked_add_f32 if vals.dtype == np.float32 else lib.stacked_add_f64
-        fn(_p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
-           _p(rows), _p(vals), float(floor_t), n_windows, _p(out))
+    def stacked_add(cells, start, count, rows, vals, floor_, n_windows, out):
+        lib.stacked_add_f64(
+            _p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
+            _p(rows), _p(vals), float(floor_), n_windows, _p(out),
+        )
 
     def segmax(vals, seg_starts, out):
-        fn = (
-            lib.segment_maxima_f32
-            if vals.dtype == np.float32
-            else lib.segment_maxima_f64
+        lib.segment_maxima_f64(
+            _p(vals), len(vals), _p(seg_starts), len(seg_starts), _p(out)
         )
-        fn(_p(vals), len(vals), _p(seg_starts), len(seg_starts), _p(out))
 
     def prob_box(mean, sigma, center, delta, out):
         lib.prob_box_f64(_p(mean), _p(sigma), _p(center), float(delta),
@@ -336,40 +316,37 @@ class CompiledKernels:
 
     compiled = True
 
-    def __init__(self, provider: _Provider, dtype: np.dtype | str = np.float64) -> None:
+    def __init__(self, provider: _Provider) -> None:
         self._p = provider
         self.provider = provider.name
         self.name = provider.name
-        self.dtype = np.dtype(dtype)
         #: The box Prob kernel uses libm erf, which may differ from
         #: scipy's by ~2 ULPs -- indexes built through it get a distinct
         #: cache-key tag so they never alias reference-built files.
         self.prob_tag = provider.name
-        self._ref = NumpyKernels(dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledKernels(provider={self.provider}, dtype={self.dtype})"
+        return f"CompiledKernels(provider={self.provider})"
 
     def batch_devmax(self, cells_matrix, start, count, rows, vals, floor,
                      valid, n_windows, win_traj, arena, out) -> None:
         if n_windows <= 0:
             return
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
-        scratch = arena.get("devmax.scratch", (n_windows,), self.dtype)
+        scratch = arena.get("devmax.scratch", (n_windows,))
         touched = arena.get("devmax.touched", (n_windows,), np.int64)
         self._p.devmax(
-            cells_matrix, start, count, rows, vals, self.dtype.type(floor),
+            cells_matrix, start, count, rows, vals, floor,
             valid.view(np.uint8), n_windows, win_traj, scratch, touched, out,
         )
 
     def stacked_scores(self, cells_matrix, n_spec, start, count, rows, vals,
                        floor, n_windows, out) -> None:
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
-        # Same float64-then-cast baseline as the reference backend.
+        # Same baseline as the reference backend.
         out[:] = (floor * n_spec.astype(np.float64))[:, None]
         self._p.stacked_add(
-            cells_matrix, start, count, rows, vals, self.dtype.type(floor),
-            n_windows, out,
+            cells_matrix, start, count, rows, vals, floor, n_windows, out
         )
 
     def segment_maxima(self, vals, seg_starts) -> np.ndarray:

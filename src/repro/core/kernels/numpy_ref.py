@@ -20,8 +20,7 @@ Numerical contract (what the compiled backends must reproduce):
   ``d0 + (d1 + d2)``), so a compiled kernel that accumulates in the same
   order is bit-identical, not merely close.
 * Maxima (``np.maximum.reduceat``) are order-independent.
-* All kernel arithmetic runs in the backend dtype (float64 or float32);
-  scalars are cast to the value dtype before entering the loops.
+* All kernel arithmetic runs in float64.
 """
 
 from __future__ import annotations
@@ -55,11 +54,11 @@ def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
     flat_pos = np.repeat(start[safe], counts_j) + rank
     wrow = rows[flat_pos] - j
     keep = (wrow >= 0) & (wrow < n_windows)
-    return pat[keep], wrow[keep], vals[flat_pos[keep]] - vals.dtype.type(floor)
+    return pat[keep], wrow[keep], vals[flat_pos[keep]] - floor
 
 
 class NumpyKernels:
-    """The reference backend; one instance per value dtype."""
+    """The reference backend."""
 
     compiled = False
     provider = "numpy"
@@ -69,11 +68,8 @@ class NumpyKernels:
     #: configurations keep their existing cache keys.
     prob_tag = "ref"
 
-    def __init__(self, dtype: np.dtype | str = np.float64) -> None:
-        self.dtype = np.dtype(dtype)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NumpyKernels(dtype={self.dtype})"
+        return "NumpyKernels()"
 
     # -- batched deviation maxima -----------------------------------------
 
@@ -116,7 +112,7 @@ class NumpyKernels:
         wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
         if not len(wrow):
             return
-        dev = vals[flat_pos] - vals.dtype.type(floor)
+        dev = vals[flat_pos] - floor
         key = (owner // m) * np.int64(n_windows) + wrow
         order = np.argsort(key, kind="stable")
         key, dev = key[order], dev[order]
@@ -159,8 +155,6 @@ class NumpyKernels:
         per position.
         """
         m = cells_matrix.shape[1]
-        # Baselines are computed in float64 and cast on assignment, so the
-        # float32 mode rounds the product once (matching the compiled path).
         out[:] = (floor * n_spec.astype(np.float64))[:, None]
         flat = out.ravel()
         for j in range(m):

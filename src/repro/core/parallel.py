@@ -960,7 +960,6 @@ class ParallelNMEngine(SpanEvaluator):
                 "shard_skew": self.shard_skew,
                 "index_cache_hit": self.index_cache_hit,
                 "backend": self._backend_name,
-                "dtype": self.config.dtype,
             },
         )
         if key is not None and not self.index_cache_hit:
@@ -1110,11 +1109,6 @@ class ParallelNMEngine(SpanEvaluator):
         return self._backend_name
 
     @property
-    def backend_dtype(self) -> str:
-        """Value dtype the shard workers' evaluation kernels run in."""
-        return self.config.dtype
-
-    @property
     def pool_names(self) -> list[str]:
         """Names of the pools still serving spans."""
         return [p.name for p in self._live]
@@ -1164,7 +1158,6 @@ class ParallelNMEngine(SpanEvaluator):
             "n_shards": self.n_shards,
             "pools": self.pool_names,
             "backend": self._backend_name,
-            "dtype": self.config.dtype,
             "n_index_entries": self.n_index_entries,
             "n_evaluations": sum(s["n_evaluations"] for s in shards),
             "n_batches": sum(s["n_batches"] for s in shards),

@@ -87,7 +87,6 @@ from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.pattern import TrajectoryPattern
 from repro.core.pruning import one_extension_mask, prune_low_patterns
 from repro.core.topk import (
-    Cells,
     PatternBook,
     PatternRows,
     PatternSet,
@@ -212,26 +211,6 @@ class MinerStats:
         return self.phase_time_s("topk")
 
 
-@dataclass(frozen=True)
-class WarmStartState:
-    """Converged frontier of a previous run, reusable as mining seeds.
-
-    ``seeds`` are the cell sequences (length >= 2; singulars are re-seeded
-    from the alphabet anyway) that were live in the previous run's book --
-    the high set plus the surviving lows.  Seeding is answer-preserving by
-    construction: every seed is *evaluated exactly* before the main loop, so
-    ``omega`` starts as a valid lower bound on the true k-th best NM and
-    bound pruning stays provably safe.  On a lightly-changed dataset the
-    previous winners land near their old scores, the threshold starts high,
-    and convergence takes a fraction of the cold iterations.
-    """
-
-    seeds: tuple[Cells, ...]
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-
 @dataclass
 class MiningResult:
     """Outcome of a mining run: ranked patterns, optional groups, stats."""
@@ -241,7 +220,6 @@ class MiningResult:
     omega: float
     stats: MinerStats
     groups: list[PatternGroup] | None = None
-    warm_state: WarmStartState | None = None
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -292,11 +270,6 @@ class TrajPatternMiner:
         Lazy bound-based candidate scoring (ablation A2; see module docs).
     max_iterations:
         Safety valve; the algorithm converges well before this in practice.
-    warm_state:
-        Optional :class:`WarmStartState` from a previous run (its
-        ``MiningResult.warm_state``).  Seeds are evaluated exactly before
-        the main loop, so the mined top-k is identical to a cold run over
-        the same dataset -- only the iteration count shrinks.
     """
 
     def __init__(
@@ -308,7 +281,6 @@ class TrajPatternMiner:
         use_extension_pruning: bool = True,
         use_bound_pruning: bool = True,
         max_iterations: int = 64,
-        warm_state: WarmStartState | None = None,
     ) -> None:
         check_parameters(k, min_length, max_length, max_iterations)
         self.engine = engine
@@ -318,7 +290,6 @@ class TrajPatternMiner:
         self.use_extension_pruning = use_extension_pruning
         self.use_bound_pruning = use_bound_pruning
         self.max_iterations = max_iterations
-        self.warm_state = warm_state
         # Pinned at the start of every run; evaluation batches check it so
         # an in-place index mutation mid-mine raises StaleIndexError instead
         # of silently scoring a mix of index generations.  None for engines
@@ -388,8 +359,6 @@ class TrajPatternMiner:
 
         if self.min_length > 1:
             self._warm_start(book, stats)
-        if self.warm_state is not None:
-            self._seed_warm_state(book, stats)
         with self._phase(stats, "topk"):
             book.update_omega()
             high = book.high_patterns()
@@ -460,17 +429,6 @@ class TrajPatternMiner:
         with self._phase(stats, "topk"):
             stats.final_q_size = len(book)
             top = book.top_k()
-            # Export the converged frontier so a follow-up run over a
-            # lightly-changed dataset can seed from it instead of
-            # rediscovering the threshold.  Only the patterns that *set* the
-            # threshold are worth carrying: the high set and the answer
-            # itself -- evaluating them exactly starts the next run's omega
-            # at (about) this run's k-th best.  Anything broader backfires:
-            # the bounded membership runs to tens of thousands of
-            # never-promoted candidates on large alphabets, and
-            # re-evaluating those costs more than a cold run.
-            frontier = set(high) | {c for c, _ in top}
-            warm_seeds = tuple(sorted(c for c in frontier if len(c) >= 2))
         stats.wall_time_s = time.perf_counter() - t0
         _log.info(
             "mining finished",
@@ -498,7 +456,6 @@ class TrajPatternMiner:
             omega=book.omega,
             stats=stats,
             groups=groups,
-            warm_state=WarmStartState(seeds=warm_seeds),
         )
 
     # -- warm start for the min-length variant ----------------------------------------
@@ -538,27 +495,6 @@ class TrajPatternMiner:
             grams = grams[np.argsort(-counts, kind="stable")[: self.WARM_START_CAP]]
             batch = book.encode(grams[~book.is_evaluated(grams)])
         self._evaluate_batch(book, [batch], stats)
-
-    def _seed_warm_state(self, book: PatternBook, stats: MinerStats) -> None:
-        """Evaluate the previous run's frontier exactly as mining seeds.
-
-        Like :meth:`_warm_start`, this only ever *raises* the starting
-        ``omega`` with exact scores -- it introduces no bounds and skips
-        nothing, so the mined top-k is identical to a cold run (the
-        ``incremental`` oracle path pins warm == cold exactly).
-        """
-        by_length: dict[int, list[Cells]] = {}
-        for cells in self.warm_state.seeds:
-            if len(cells) >= 2 and (
-                self.max_length is None or len(cells) <= self.max_length
-            ):
-                by_length.setdefault(len(cells), []).append(cells)
-        with self._phase(stats, "generate"):
-            batches = []
-            for _, seeds in sorted(by_length.items()):
-                cells = np.array(seeds, dtype=np.int64)
-                batches.append(book.encode(cells[~book.is_evaluated(cells)]))
-        self._evaluate_batch(book, batches, stats)
 
     # -- convergence ------------------------------------------------------------------
 

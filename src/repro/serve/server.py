@@ -88,7 +88,8 @@ class IngestConfig:
     """Live-stream ingestion knobs (the ``ingest`` op is off without one).
 
     ``remine_every`` is the republish cadence in ingest batches: every
-    N-th batch triggers a warm-started re-mine and a snapshot swap (1 =
+    N-th batch re-mines the folded index from scratch (so the published
+    top-k is exactly a batch mine's) and swaps in a new snapshot (1 =
     republish on every batch).  ``window`` bounds resident trajectories --
     after each append the oldest beyond the window are evicted (sliding
     window over arrival order); ``None`` keeps everything.  ``k`` /
@@ -146,7 +147,6 @@ class _LiveIngest:
         self.base_version = snapshot.version
         self.generation = 0
         self.batches = 0
-        self.warm_state = None
         self.last_mine_iterations = 0
         self.last_mine_s = 0.0
 
@@ -171,10 +171,8 @@ class _LiveIngest:
             engine,
             k=self.config.k,
             min_length=self.config.min_length,
-            warm_state=self.warm_state,
         )
         result = miner.mine()
-        self.warm_state = result.warm_state
         self.last_mine_iterations = result.stats.iterations
         self.last_mine_s = result.stats.wall_time_s
         self.generation += 1

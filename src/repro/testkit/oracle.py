@@ -59,7 +59,6 @@ __all__ = [
     "OracleReport",
     "candidate_frontier",
     "max_ulps",
-    "max_ulps32",
     "run_oracle",
     "ulps_between",
 ]
@@ -99,7 +98,7 @@ ULP_BUDGETS = {
     # move a bit, whichever pool computed a span.
     "dist": 0,
     # Kernel-backend paths (``--backends all``).  ``kernel`` covers
-    # float64 engines on alternative backends building their *own* index:
+    # engines on alternative backends building their *own* index:
     # compiled Prob kernels use libm ``erf`` (<= 2 ULPs from scipy in
     # probability space), which propagates to a handful of float64 ULPs in
     # the final scores; 4096 keeps the scalar path's headroom policy.  The
@@ -109,15 +108,9 @@ ULP_BUDGETS = {
     # Incremental index maintenance splices already-computed entries into
     # already-sorted arrays -- no value is recomputed, so the index after
     # any append/evict sequence must be *bit-identical* to a from-scratch
-    # build over the surviving trajectories, and warm-started mining must
-    # return the cold run's exact top-k.
+    # build over the surviving trajectories, and a mine over the folded
+    # engine must return a fresh engine's exact top-k.
     "incremental": 0,
-    # ``kernel32`` paths run the evaluation kernels in float32 and are
-    # compared in *float32* ULPs against the float64 baseline rounded to
-    # float32.  Accumulating ~100-snapshot windows in float32 costs a few
-    # float32 ULPs; 1024 (~1e-4 relative) is generous headroom while still
-    # catching wrong-kernel bugs (which show up as >1e6 ULPs).
-    "kernel32": 1024,
 }
 
 #: ULP distance reported for a NaN-vs-number disagreement (worse than any
@@ -154,34 +147,6 @@ def max_ulps(a: Sequence[float], b: Sequence[float]) -> int:
     return max(
         (ulps_between(float(x), float(y)) for x, y in zip(a, b)), default=0
     )
-
-
-def _ordered32(x: np.float32) -> int:
-    """:func:`_ordered` for float32 (int32 bits, reflected negatives)."""
-    bits = int(np.float32(x).view(np.int32))
-    return bits if bits >= 0 else -(1 << 31) - bits
-
-
-def max_ulps32(a: Sequence[float], b: Sequence[float]) -> int:
-    """Worst per-element *float32* ULP distance.
-
-    Both vectors are rounded to float32 first; this is the right ruler for
-    the ``dtype="float32"`` kernel paths, whose outputs carry float32
-    precision however they are transported (a float64 ULP count against a
-    float64 baseline would be a meaningless ~1e9).
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    worst = 0
-    for x, y in zip(a, b):
-        if np.isnan(x) or np.isnan(y):
-            if not (np.isnan(x) and np.isnan(y)):
-                return _ULPS_INCOMPARABLE
-            continue
-        worst = max(worst, abs(_ordered32(x) - _ordered32(y)))
-    return worst
 
 
 # -- frontier -----------------------------------------------------------------
@@ -302,11 +267,10 @@ def run_oracle(
     compared bit-for-bit against the same-width in-RAM parallel run.
 
     ``backends="all"`` additionally scores the frontier on every kernel
-    backend x dtype combination (``repro selfcheck --backends all``):
-    ``kernel[...]`` paths for float64 engines on non-default backends and
-    ``kernel32[...]`` paths for float32 engines, the latter judged in
-    float32 ULPs.  Combinations the machine cannot run (no compiled
-    toolchain) are reported as explicit skips, never silently dropped.
+    backend beyond the numpy baseline (``repro selfcheck --backends
+    all``): one ``kernel[...]`` path per backend.  A backend the machine
+    cannot run (no compiled toolchain) is reported as an explicit skip,
+    never silently dropped.
     """
     if backends not in ("default", "all"):
         raise ValueError(
@@ -452,32 +416,29 @@ def run_oracle(
             inc_check = replace(inc_check, nm_ulps=_ULPS_INCOMPARABLE)
         checks.append(inc_check)
 
-        # Path 5c: warm-started mining over the incremental engine must
-        # return exactly the cold top-k (patterns and NM values) over the
-        # same final dataset -- seeding only raises the starting threshold.
+        # Path 5c: a mine over the folded engine must return exactly the
+        # top-k (patterns and NM values) of a mine over the fresh engine.
         mine_k = 4
-        previous = TrajPatternMiner(
-            NMEngine(base_dataset, setup.grid, cfg), k=mine_k
-        ).mine()
-        warm_run = TrajPatternMiner(
-            live, k=mine_k, warm_state=previous.warm_state
-        ).mine()
-        cold_run = TrajPatternMiner(fresh, k=mine_k).mine()
-        warm_pairs = [(p.cells, nm) for p, nm in warm_run.as_pairs()]
-        cold_pairs = [(p.cells, nm) for p, nm in cold_run.as_pairs()]
-        identical = warm_pairs == cold_pairs
+        live_run = TrajPatternMiner(live, k=mine_k).mine()
+        fresh_run = TrajPatternMiner(fresh, k=mine_k).mine()
+        same_patterns = [p.cells for p in live_run.patterns] == [
+            p.cells for p in fresh_run.patterns
+        ]
         checks.append(
             PathCheck(
-                path="incremental[warm-mine]",
+                path="incremental[mine]",
                 budget_ulps=budgets["incremental"],
-                nm_ulps=0 if identical else _ULPS_INCOMPARABLE,
+                nm_ulps=(
+                    max_ulps(fresh_run.nm_values, live_run.nm_values)
+                    if same_patterns
+                    else _ULPS_INCOMPARABLE
+                ),
                 match_ulps=0,
                 detail=(
-                    f"warm {warm_run.stats.iterations} vs cold "
-                    f"{cold_run.stats.iterations} iterations, "
-                    f"{len(previous.warm_state)} seeds"
-                    if identical
-                    else "top-k DIVERGED"
+                    f"top-{len(live_run)} in {live_run.stats.iterations} "
+                    "iterations"
+                    if same_patterns
+                    else "top-k patterns DIVERGED"
                 ),
             )
         )
@@ -557,50 +518,33 @@ def run_oracle(
                                 )
                             )
 
-    # Path 6: every kernel backend x dtype combination beyond the numpy
-    # float64 baseline.  Each engine builds its own index (so a compiled
-    # combination also exercises its Prob kernel); float32 paths are judged
-    # in float32 ULPs.  Unavailable combinations become explicit skips.
+    # Path 6: the compiled kernel backend against the numpy baseline.  The
+    # engine builds its own index, so the path also exercises the compiled
+    # Prob kernel.  An unavailable backend becomes an explicit skip.
     if backends == "all":
         unavailable = kernels.compiled_unavailable_reason()
-        for backend_name in ("numpy", "compiled"):
-            for dt in ("float64", "float32"):
-                if backend_name == "numpy" and dt == "float64":
-                    continue  # the baseline itself
-                if backend_name == "compiled" and unavailable is not None:
-                    checks.append(
-                        PathCheck(
-                            path=f"kernel[compiled-{dt}]",
-                            budget_ulps=0,
-                            nm_ulps=0,
-                            match_ulps=0,
-                            detail=unavailable,
-                            skipped=True,
-                        )
-                    )
-                    continue
-                eng = NMEngine(
-                    setup.dataset,
-                    setup.grid,
-                    replace(cfg, backend=backend_name, dtype=dt),
+        if unavailable is not None:
+            checks.append(
+                PathCheck(
+                    path="kernel[compiled]",
+                    budget_ulps=0,
+                    nm_ulps=0,
+                    match_ulps=0,
+                    detail=unavailable,
+                    skipped=True,
                 )
-                nm_k = eng.nm_batch(frontier)
-                match_k = eng.match_batch(frontier)
-                if dt == "float32":
-                    path = f"kernel32[{eng.backend_name}]"
-                    checks.append(
-                        PathCheck(
-                            path=path,
-                            budget_ulps=budgets["kernel32"],
-                            nm_ulps=max_ulps32(nm_ref, nm_k),
-                            match_ulps=max_ulps32(match_ref, match_k),
-                            detail="float32 ulps",
-                        )
-                    )
-                else:
-                    checks.append(
-                        check(f"kernel[{eng.backend_name}]", nm_k, match_k)
-                    )
+            )
+        else:
+            eng = NMEngine(
+                setup.dataset, setup.grid, replace(cfg, backend="compiled")
+            )
+            checks.append(
+                check(
+                    f"kernel[{eng.backend_name}]",
+                    eng.nm_batch(frontier),
+                    eng.match_batch(frontier),
+                )
+            )
 
     # Path 7: a live server round-trip over the baseline engine -- isolates
     # the protocol + batcher + JSON layers, which must not move a bit.

@@ -108,6 +108,46 @@ class TestConfigErrors:
         assert f"serve: error: {message}" in err
         assert "Traceback" not in err
 
+    def test_mine_has_no_dtype_flag(self, files, capsys):
+        dataset, _ = files
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mine", dataset, "--cell-size", "0.1", "--dtype", "float32"])
+        assert excinfo.value.code == 2
+        assert "--dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["selfcheck", "--quick", "--jobs-grid", "0"],
+                "--jobs-grid expects comma-separated integers >= 1, got '0'",
+            ),
+            (
+                ["selfcheck", "--quick", "--jobs-grid", "1,x"],
+                "--jobs-grid expects comma-separated integers >= 1, got 'x'",
+            ),
+            (
+                ["selfcheck", "--quick", "--seeds", "a"],
+                "--seeds expects comma-separated integers >= 0, got 'a'",
+            ),
+            (
+                ["bench", "--suite", "kernels", "--output-dir", "{tmp}",
+                 "--rounds", "0"],
+                "--rounds must be at least 1",
+            ),
+        ],
+        ids=["jobs-grid-zero", "jobs-grid-text", "seeds-text", "rounds-zero"],
+    )
+    def test_selfcheck_and_bench_reject_bad_arguments(
+        self, capsys, tmp_path, argv, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"trajpattern {argv[0]}: error: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.fixture(scope="class")
     def bad_files(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("cli-bad-files")

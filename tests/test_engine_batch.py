@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine as engine_module
 from repro.core.engine import EngineConfig, NMEngine, build_engine
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -190,13 +191,14 @@ class TestVectorisedIndexBuild:
 
 
 class TestColumnCacheEviction:
-    def test_evicts_at_configured_size_and_stays_correct(self, small_dataset):
+    def test_evicts_at_configured_size_and_stays_correct(
+        self, small_dataset, monkeypatch
+    ):
         grid = small_dataset.make_grid(0.03)
         size = 4
+        monkeypatch.setattr(engine_module, "_COLUMN_CACHE_SIZE", size)
         engine = NMEngine(
-            small_dataset,
-            grid,
-            EngineConfig(delta=0.03, min_prob=1e-6, column_cache_size=size),
+            small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)
         )
         reference = NMEngine(
             small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -67,11 +68,10 @@ class TestIndexCaps:
 
 
 class TestColumnCache:
-    def test_cache_eviction_preserves_values(self, wide_dataset):
+    def test_cache_eviction_preserves_values(self, wide_dataset, monkeypatch):
+        monkeypatch.setattr(engine_module, "_COLUMN_CACHE_SIZE", 2)
         engine = NMEngine(
-            wide_dataset,
-            GRID,
-            EngineConfig(delta=0.05, min_prob=1e-5, column_cache_size=2),
+            wide_dataset, GRID, EngineConfig(delta=0.05, min_prob=1e-5)
         )
         cells = engine.active_cells[:6]
         first_pass = [engine.nm(TrajectoryPattern((c,))) for c in cells]

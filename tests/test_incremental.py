@@ -6,7 +6,7 @@ appends and sliding-window evictions, the live engine's flat index arrays
 from-scratch :class:`NMEngine` build over the surviving trajectories
 exactly, not approximately.  Hypothesis drives the interleavings; the
 fixed tests pin the merge/evict primitives, the epoch-staleness guard and
-the warm-started miner's exactness.
+that a mine over a folded engine equals a mine over a fresh one.
 """
 
 from __future__ import annotations
@@ -296,37 +296,21 @@ class TestEpochStaleness:
             miner.mine()
 
 
-class TestWarmStartedMining:
-    def test_warm_topk_equals_cold_topk(self, pool):
+class TestFoldedMining:
+    def test_folded_topk_equals_fresh_topk(self, pool):
         trajectories, grid = pool
         engine = NMEngine(TrajectoryDataset(trajectories[:8]), grid, CONFIG)
-        previous = TrajPatternMiner(engine, k=4).mine()
-        assert previous.warm_state is not None
-        assert len(previous.warm_state) > 0
-
-        indexer = IncrementalIndexer(engine)
-        indexer.append(trajectories[8:11])
-        warm = TrajPatternMiner(
-            engine, k=4, warm_state=previous.warm_state
-        ).mine()
-        cold = TrajPatternMiner(
+        # Mine once before the fold, as a live server does.
+        TrajPatternMiner(engine, k=4).mine()
+        IncrementalIndexer(engine).append(trajectories[8:11])
+        folded = TrajPatternMiner(engine, k=4).mine()
+        fresh = TrajPatternMiner(
             NMEngine(TrajectoryDataset(trajectories[:11]), grid, CONFIG), k=4
         ).mine()
         assert [
-            (p.cells, nm) for p, nm in warm.as_pairs()
-        ] == [(p.cells, nm) for p, nm in cold.as_pairs()]
-        assert warm.omega == cold.omega
-
-    def test_warm_state_round_trips_through_result(self, pool):
-        trajectories, grid = pool
-        engine = NMEngine(TrajectoryDataset(trajectories[:6]), grid, CONFIG)
-        result = TrajPatternMiner(engine, k=3).mine()
-        again = TrajPatternMiner(
-            engine, k=3, warm_state=result.warm_state
-        ).mine()
-        assert [p.cells for p in again.patterns] == [
-            p.cells for p in result.patterns
-        ]
+            (p.cells, nm) for p, nm in folded.as_pairs()
+        ] == [(p.cells, nm) for p, nm in fresh.as_pairs()]
+        assert folded.omega == fresh.omega
 
 
 class TestPersist:

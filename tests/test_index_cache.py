@@ -104,12 +104,34 @@ class TestInvalidation:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(jobs=4), dict(cache_dir=None), dict(column_cache_size=3)],
+        [dict(jobs=4), dict(cache_dir=None), dict(backend="auto")],
     )
     def test_non_index_knobs_do_not_change_key(self, dataset, grid, config, change):
         changed = replace(config, **change)
         assert index_cache.cache_key(dataset, grid, config) == index_cache.cache_key(
             dataset, grid, changed
+        )
+
+    def test_key_digests_are_pinned(self):
+        """Users' cache files stay addressable: a settings change that
+        moves these digests orphans every index already on disk."""
+        from repro.geometry.bbox import BoundingBox
+        from repro.geometry.grid import Grid
+
+        means = np.linspace(0.1, 0.9, 24).reshape(12, 2)
+        dataset = TrajectoryDataset(
+            [
+                UncertainTrajectory(means[:6], 0.02),
+                UncertainTrajectory(means[6:], np.full(6, 0.03)),
+            ]
+        )
+        grid = Grid(BoundingBox.unit(), nx=8, ny=8)
+        config = EngineConfig(delta=0.05, min_prob=1e-5)
+        assert index_cache.cache_key(dataset, grid, config) == (
+            "412009b9e1f809a49617d3d328438c39e058bf110dcdf5d807f26e71486f41ad"
+        )
+        assert index_cache.span_cache_key("ab" * 32, 0, 2, grid, config) == (
+            "20700ca80178e13efe4048c0fdddbbce8d8e78eb7289ce20eb4a639caaac719f"
         )
 
     def test_sigma_change_invalidates(self, dataset, grid, config):

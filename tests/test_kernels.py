@@ -1,23 +1,23 @@
-"""Kernel backend protocol: equivalence, precision modes, scratch arena.
+"""Kernel backend protocol: equivalence, resolution, scratch arena.
 
 The compiled backend's contract is *bit-exactness* with the numpy
 reference on a shared index (the evaluation kernels perform the same
 reduction in the same order); only the Prob kernel used during index
 construction is allowed to differ (libm vs scipy ``erf``, tagged into the
-cache key).  float32 mode is judged in float32 ULPs.  Tests that need the
-compiled backend skip with the registry's own unavailability reason.
+cache key).  Tests that need the compiled backend skip with the
+registry's own unavailability reason.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core import index_cache, kernels
-from repro.core.engine import EngineConfig, NMEngine, autotune_prob_chunk
+from repro.core.engine import EngineConfig, NMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
 
@@ -25,10 +25,10 @@ CELL = 0.03
 BASE = dict(delta=CELL, min_prob=1e-6)
 
 
-def _combos() -> list[tuple[str, str]]:
-    out = [("numpy", "float64"), ("numpy", "float32")]
+def _backends() -> list[str]:
+    out = ["numpy"]
     if kernels.compiled_unavailable_reason() is None:
-        out += [("compiled", "float64"), ("compiled", "float32")]
+        out.append("compiled")
     return out
 
 
@@ -38,11 +38,9 @@ def _require_compiled() -> None:
         pytest.skip(f"compiled backend unavailable: {reason}")
 
 
-def _engine(dataset, backend="numpy", dtype="float64", **kw) -> NMEngine:
+def _engine(dataset, backend="numpy") -> NMEngine:
     grid = dataset.make_grid(CELL)
-    return NMEngine(
-        dataset, grid, EngineConfig(backend=backend, dtype=dtype, **BASE, **kw)
-    )
+    return NMEngine(dataset, grid, EngineConfig(backend=backend, **BASE))
 
 
 def _candidates(engine, n=40, seed=5) -> list[TrajectoryPattern]:
@@ -74,19 +72,19 @@ def _gap_patterns(engine, n=8, seed=6) -> list[GapPattern]:
 def test_resolution_validation():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.resolve_backend("cuda")
-    with pytest.raises(ValueError, match="unknown kernel dtype"):
-        kernels.resolve_backend("numpy", "float16")
+    # float64 is the only value dtype; naming it is allowed, nothing else.
+    assert kernels.resolve_backend("numpy", "float64").name == "numpy"
+    for dtype in ("float32", "float16"):
+        with pytest.raises(ValueError, match="unknown kernel dtype"):
+            kernels.resolve_backend("numpy", dtype)
     with pytest.raises(ValueError, match="backend"):
         EngineConfig(delta=0.03, backend="cuda")
-    with pytest.raises(ValueError, match="dtype"):
-        EngineConfig(delta=0.03, dtype="float16")
 
 
 def test_resolved_instances_satisfy_protocol():
-    for backend, dtype in _combos():
-        inst = kernels.resolve_backend(backend, dtype)
+    for backend in _backends():
+        inst = kernels.resolve_backend(backend)
         assert isinstance(inst, kernels.KernelBackend)
-        assert np.dtype(inst.dtype) == np.dtype(dtype)
         assert inst.name in ("numpy", "cnative")
 
 
@@ -150,7 +148,7 @@ def _repeated_cell_patterns(engine) -> list[TrajectoryPattern]:
 
 
 def test_shared_index_bit_exact(small_dataset):
-    """On one shared index every backend x dtype reduction is bit-identical."""
+    """On one shared index every backend's reduction is bit-identical."""
     ref = _engine(small_dataset)
     patterns = _candidates(ref) + _repeated_cell_patterns(ref)
     gaps = _gap_patterns(ref)
@@ -159,29 +157,18 @@ def test_shared_index_bit_exact(small_dataset):
     windows_ref = ref.window_scores_batch(patterns[:6])
     gap_ref = np.array([nm_gap_pattern(ref, gp) for gp in gaps])
 
-    for backend, dtype in _combos():
-        eng = _engine(small_dataset, backend=backend, dtype=dtype)
+    for backend in _backends():
+        eng = _engine(small_dataset, backend=backend)
         eng.install_index(ref._flat_cells, ref._flat_rows, ref._flat_vals)
-        nm = eng.nm_batch(patterns)
-        match = eng.match_batch(patterns)
-        windows = eng.window_scores_batch(patterns[:6])
+        assert np.array_equal(eng.nm_batch(patterns), nm_ref), backend
+        assert np.array_equal(eng.match_batch(patterns), match_ref)
+        for got, want in zip(eng.window_scores_batch(patterns[:6]), windows_ref):
+            assert np.array_equal(got, want)
         gap = np.array([nm_gap_pattern(eng, gp) for gp in gaps])
-        if dtype == "float64":
-            assert np.array_equal(nm, nm_ref), (backend, dtype)
-            assert np.array_equal(match, match_ref)
-            for got, want in zip(windows, windows_ref):
-                assert np.array_equal(got, want)
-            assert np.array_equal(gap, gap_ref)
-        else:
-            # float32 paths: both sides rounded to f32 must stay within a
-            # small ULP budget of the f64 reference.
-            from repro.testkit.oracle import max_ulps32
-
-            assert max_ulps32(nm, nm_ref) <= 1024
-            assert max_ulps32(match, match_ref) <= 1024
+        assert np.array_equal(gap, gap_ref)
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dtype", ["float64"])  # keeps the [float64] test ID
 def test_compiled_own_index_close(small_dataset, dtype):
     """Compiled engines building their own index stay within tolerance.
 
@@ -191,35 +178,26 @@ def test_compiled_own_index_close(small_dataset, dtype):
     """
     _require_compiled()
     ref = _engine(small_dataset)
-    eng = _engine(small_dataset, backend="compiled", dtype=dtype)
+    eng = _engine(small_dataset, backend="compiled")
     assert eng.backend_name == "cnative"
-    assert eng.backend_dtype == dtype
+    assert eng.index_arrays()[2].dtype == dtype
     patterns = _candidates(ref)
-    rtol = 1e-12 if dtype == "float64" else 1e-4
     np.testing.assert_allclose(
-        eng.nm_batch(patterns), ref.nm_batch(patterns), rtol=rtol, atol=1e-12
+        eng.nm_batch(patterns), ref.nm_batch(patterns), rtol=1e-12, atol=1e-12
     )
     np.testing.assert_allclose(
         eng.match_batch(patterns), ref.match_batch(patterns),
-        rtol=rtol, atol=1e-12,
+        rtol=1e-12, atol=1e-12,
     )
-
-
-def test_float32_outputs_are_float64(small_dataset):
-    eng = _engine(small_dataset, dtype="float32")
-    patterns = _candidates(eng, n=8)
-    assert eng._flat_vals_k.dtype == np.float32
-    assert eng._flat_vals.dtype == np.float64  # cache/build side stays f64
-    assert eng.nm_batch(patterns).dtype == np.float64
-    assert eng.match_batch(patterns).dtype == np.float64
 
 
 # -- scratch arena ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend,dtype", _combos())
-def test_steady_state_is_allocation_free(small_dataset, backend, dtype):
-    eng = _engine(small_dataset, backend=backend, dtype=dtype)
+# The "-float64" suffix keeps the test IDs stable.
+@pytest.mark.parametrize("backend", _backends(), ids=lambda b: f"{b}-float64")
+def test_steady_state_is_allocation_free(small_dataset, backend):
+    eng = _engine(small_dataset, backend=backend)
     patterns = _candidates(eng)
     eng.nm_batch(patterns)  # warm the arena (and any lazy caches)
     eng.nm_batch(patterns)
@@ -245,33 +223,18 @@ def test_arena_grows_geometrically():
 # -- prob chunking ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_prob_chunk_size_is_bit_exact(small_dataset, dtype):
-    """Chunked == unchunked index construction, 0 ULPs, both dtypes."""
-    big = _engine(small_dataset, dtype=dtype)  # default 2^20: one chunk
+@pytest.mark.parametrize("dtype", ["float64"])  # keeps the [float64] test ID
+def test_prob_chunk_size_is_bit_exact(small_dataset, monkeypatch, dtype):
+    """Chunked == unchunked index construction, 0 ULPs."""
+    big = _engine(small_dataset)  # default 2^20: one chunk
     for chunk in (64, 1021):
-        small = _engine(small_dataset, dtype=dtype, prob_chunk_size=chunk)
+        monkeypatch.setattr(engine_module, "_INDEX_PAIR_CHUNK", chunk)
+        small = _engine(small_dataset)
+        assert small._flat_vals.dtype == dtype
         assert small.n_index_entries == big.n_index_entries
         assert np.array_equal(small._flat_vals, big._flat_vals)
-        assert np.array_equal(small._flat_vals_k, big._flat_vals_k)
         assert np.array_equal(small._flat_cells, big._flat_cells)
         assert np.array_equal(small._flat_rows, big._flat_rows)
-
-
-def test_prob_chunk_validation():
-    with pytest.raises(ValueError, match="prob_chunk_size"):
-        EngineConfig(delta=0.03, prob_chunk_size=0)
-
-
-def test_autotune_prob_chunk(small_dataset):
-    grid = small_dataset.make_grid(CELL)
-    cfg = EngineConfig(**BASE)
-    best = autotune_prob_chunk(
-        small_dataset, grid, cfg, candidates=(1 << 10, 1 << 14), rounds=1
-    )
-    assert best in (1 << 10, 1 << 14)
-    # The knob is safe to apply blindly.
-    NMEngine(small_dataset, grid, replace(cfg, prob_chunk_size=best))
 
 
 # -- index replacement & cache invalidation ----------------------------------
@@ -362,10 +325,8 @@ def test_parallel_engine_reports_backend(small_dataset):
     )
     try:
         assert engine.backend_name in ("numpy", "cnative")
-        assert engine.backend_dtype == "float64"
         snap = engine.obs_snapshot()
         assert snap["backend"] == engine.backend_name
-        assert snap["dtype"] == "float64"
         serial = _engine(small_dataset, backend="auto")
         patterns = _candidates(serial)
         np.testing.assert_allclose(

@@ -3,7 +3,7 @@
 Every configuration below is mined and reduced to the decisions the
 miner made: the full :class:`MinerStats` counts, every
 :class:`IterationTrace` (minus its wall time), the top-k cells with the
-``repr`` of each NM float, ``omega`` and the exported warm-start seeds.
+``repr`` of each NM float and ``omega``.
 ``tests/golden/miner_decisions.json`` holds the values the dict-based
 control plane produced; the columnar book must reproduce them exactly.
 
@@ -70,7 +70,6 @@ def decisions(result: MiningResult) -> dict:
             for p, nm in result.as_pairs()
         ],
         "omega": repr(float(result.omega)),
-        "warm_seeds": [[int(c) for c in s] for s in result.warm_state.seeds],
     }
 
 
@@ -164,18 +163,15 @@ def _mine_ablation(extension: bool, bound: bool) -> list[dict]:
 
 
 def _mine_warm_chain() -> list[dict]:
-    """Three warm-started re-mines over a windowed incremental engine."""
+    """Three re-mines, each from scratch, over a windowed incremental engine."""
     trajectories = list(zebranet_dataset(n_trajectories=70, n_ticks=30, seed=5))
     base = TrajectoryDataset(trajectories[:40])
     engine = NMEngine(base, base.make_grid(0.02), EngineConfig(delta=0.02, min_prob=1e-4))
     indexer = IncrementalIndexer(engine, window=40)
-    warm = None
     out = []
     for wave in range(3):
         indexer.append(trajectories[40 + 10 * wave : 50 + 10 * wave])
-        result = TrajPatternMiner(indexer.engine, k=8, warm_state=warm).mine()
-        warm = result.warm_state
-        out.append(decisions(result))
+        out.append(decisions(TrajPatternMiner(indexer.engine, k=8).mine()))
     return out
 
 

@@ -66,6 +66,28 @@ def test_serve_json_missing_store_raises(tmp_path):
         ServingSnapshot.load(snapdir)
 
 
+def test_serve_json_legacy_dtype_key_loads(eager, tmp_path):
+    # Snapshots saved while the engine had a float32 mode carry this key.
+    snapdir = tmp_path / "snap"
+    snapdir.mkdir()
+    write_store(eager, snapdir / "dataset.tjc")
+    (snapdir / "serve.json").write_text(
+        json.dumps({"version": "v1", "backend": "numpy", "dtype": "float64"})
+    )
+    snap = ServingSnapshot.load(snapdir)
+    assert snap.version == "v1"
+    _same_snapshot(snap, ServingSnapshot.load(snapdir / "dataset.tjc", backend="numpy"))
+
+
+def test_serve_json_other_dtype_is_refused(eager, tmp_path):
+    snapdir = tmp_path / "snap"
+    snapdir.mkdir()
+    write_store(eager, snapdir / "dataset.tjc")
+    (snapdir / "serve.json").write_text(json.dumps({"dtype": "float32"}))
+    with pytest.raises(ValueError, match="serve.json: dtype 'float32'"):
+        ServingSnapshot.load(snapdir)
+
+
 def test_directory_without_dataset_raises(tmp_path):
     snapdir = tmp_path / "snap"
     snapdir.mkdir()

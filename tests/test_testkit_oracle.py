@@ -120,10 +120,10 @@ class TestRunOracle:
         ]
         incremental = next(c for c in report.checks if c.path == "incremental")
         assert incremental.budget_ulps == 0  # the merge is bit-exact or fail
-        warm_mine = next(
-            c for c in report.checks if c.path == "incremental[warm-mine]"
+        folded_mine = next(
+            c for c in report.checks if c.path == "incremental[mine]"
         )
-        assert warm_mine.budget_ulps == 0
+        assert folded_mine.budget_ulps == 0 and folded_mine.nm_ulps == 0
         store = next(c for c in report.checks if c.path == "store")
         assert store.budget_ulps == 0  # bit-exact or fail
         warm = next(c for c in report.checks if c.path == "cache-warm")
